@@ -8,7 +8,7 @@ goodness-of-fit tests.
 from .core import Window, PointPattern, SummaryTable, ball_volume
 from .distributions import MarkDistribution, WeightDistribution
 from .interactions import (InteractionFunction, RadialSlice, make_interaction,
-                           registry_make, registry_ids)
+                           registry_ids)
 from .models import ModelSpec
 
 __version__ = "0.1.0"
@@ -23,8 +23,7 @@ from .simulate import SimConfig, simulate_model  # noqa: E402
 __all__ = [
     "Window", "PointPattern", "SummaryTable", "ball_volume",
     "MarkDistribution", "WeightDistribution",
-    "InteractionFunction", "RadialSlice", "make_interaction",
-    "registry_make", "registry_ids",
+    "InteractionFunction", "RadialSlice", "make_interaction", "registry_ids",
     "ModelSpec",
     "analytic", "estimate", "infer", "io", "simulate",
     "EstimatorConfig", "SimConfig", "simulate_model",

@@ -9,14 +9,21 @@ receive a sin-substitution that removes the square-root endpoint behavior
 the spherical geometry introduces, so indicator interactions integrate to
 near machine accuracy.
 
-All functions here are pure functions of immutable inputs and are
-thread-safe.
+Every characteristic is lam times a lam-free integral of f in the
+exponent of a retention factor, so one ``ModelKernel`` per model holds
+those integrals, computed on first use, and serves the intensity, pair
+correlation and mark retention of all three variants at any lam.
+
+The module functions are pure functions of immutable inputs and are
+thread-safe; a kernel shared between threads may compute a cached
+integral twice, with the same result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -30,7 +37,7 @@ __all__ = [
     "intensity", "intensity_report", "intensity_mat1", "intensity_marked",
     "intensity_mat2", "pcf", "pcf_mat1", "pcf_marked", "pcf_mat2",
     "competition_integral", "l_function", "k_function",
-    "retained_mark_density", "intensity_profile",
+    "retained_mark_density", "intensity_profile", "ModelKernel",
     "IntensityResult", "DivergentModelError",
 ]
 
@@ -254,279 +261,214 @@ def competition_integral(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# marked-model kernel cache
+# the lam-free model kernel
 # ---------------------------------------------------------------------------
 
-class _MarkedKernels:
-    """Per-spec cache of mark nodes, pairwise space integrals and q's."""
+_DIVERGENT = ("non-integrable interaction: the thinning removes all points "
+              "almost surely")
+
+
+class ModelKernel:
+    """The lam-free integrals of f behind every characteristic of a model.
+
+    In each characteristic log q is lam times a lam-free integral of f:
+    log q_m = -lam C_m, log q_{m,n}(r) = lam [f (*) f](r) . mu and
+    log q_m(w) = -lam sum_l mu_l F_{nu_l}(w) C(m, l).  The kernel is built
+    from a spec whose lam it ignores; each integral is computed the first
+    time a method needs it and reused for every later lam.  The unmarked
+    variant is the case of one mark node of weight 1, whose interaction
+    ignores the mark.
+    """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.d = spec.dim
-        self.nodes, self.weights = spec.mu.quadrature()
+        if spec.marked:
+            self.nodes, self.weights = spec.mu.quadrature()
+        else:
+            self.nodes, self.weights = np.zeros(1), np.ones(1)
+        self._convs = {}         # radius-array bytes -> _conv result
+
+    # -- lam-free pieces, each computed on first use -----------------------
+
+    def _tail(self, m, l) -> float:
+        t = tail_integral(self.spec.f, self.d, m, l)
+        if not math.isfinite(t):
+            raise DivergentModelError(_DIVERGENT)
+        return t
+
+    @cached_property
+    def space(self) -> np.ndarray:
+        """space[i, k] = int f(||x||, m_i, l_k) dx at the mark nodes."""
         M = len(self.nodes)
-        dbd = self.d * ball_volume(self.d)
         T = np.empty((M, M))
         for i in range(M):
             for k in range(i, M):
-                t = tail_integral(spec.f, self.d, self.nodes[i], self.nodes[k])
-                if not math.isfinite(t):
-                    raise DivergentModelError(
-                        "interaction tail integral diverges; the thinned "
-                        "process contains almost surely no points")
-                T[i, k] = T[k, i] = t
-        self.space = dbd * T                      # int f(||x||, m_i, l_k) dx
-        self.C = self.space @ self.weights        # C_m = int ... mu(dl)
-        self.log_q = -spec.lam * self.C           # log mark survival factor q_m
+                T[i, k] = T[k, i] = self._tail(self.nodes[i], self.nodes[k])
+        return self.d * ball_volume(self.d) * T
 
-    def conv_tensor(self, r: float) -> np.ndarray:
+    def _space_at(self, marks) -> np.ndarray:
+        """The rows of `space` for arbitrary marks m."""
+        T = np.array([[self._tail(m, l) for l in self.nodes] for m in marks])
+        return self.d * ball_volume(self.d) * T
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """C_m = int int f(||x||, m, l) dx mu(dl) at the mark nodes."""
+        return self.space @ self.weights
+
+    @cached_property
+    def _slices(self):
+        return [[self.spec.f.slice(m, l) for l in self.nodes]
+                for m in self.nodes]
+
+    def _conv_tensor(self, r: float) -> np.ndarray:
         """conv[i, j, k] = [f(., m_i, l_k) (*) f(., m_j, l_k)](r)."""
         M = len(self.nodes)
+        sl = self._slices
         out = np.empty((M, M, M))
-        slices = [[self.spec.f.slice(self.nodes[i], self.nodes[k])
-                   for k in range(M)] for i in range(M)]
         for i in range(M):
             for j in range(i, M):
                 for k in range(M):
-                    v = radial_self_convolution(slices[i][k], slices[j][k],
-                                                self.d, r)
-                    out[i, j, k] = out[j, i, k] = v
+                    out[i, j, k] = out[j, i, k] = radial_self_convolution(
+                        sl[i][k], sl[j][k], self.d, r)
         return out
 
-    def log_qmn(self, r: float) -> np.ndarray:
-        """log q_{m,n}(r), shape (M, M)."""
-        return self.spec.lam * (self.conv_tensor(r) @ self.weights)
+    def _conv(self, r: np.ndarray) -> np.ndarray:
+        """log q_{m_i, m_j}(r) / lam for each radius, shape (R, M, M)."""
+        key = r.tobytes()
+        if key not in self._convs:
+            self._convs[key] = np.array([self._conv_tensor(ri) @ self.weights
+                                         for ri in r])
+        return self._convs[key]
 
-    def f_matrix(self, r: float) -> np.ndarray:
+    def weight_kernel(self, w, row) -> np.ndarray:
+        """sum_l mu_l F_{nu_l}(w) row[l] at the weight(s) w.
+
+        With row = space[m] this is -log q_m(w) / lam, for a point of
+        mark m and weight w; with row = conv[i, j] at r it is
+        log q_{m_i, m_j}(r) / lam when the smaller weight of the pair is w.
+        """
+        F = np.array([self.spec.nu.cdf(w, l) for l in self.nodes])
+        return (self.weights * row) @ F
+
+    def _weight_kernels(self, marks, space) -> list:
+        """Per mark m: the nu_m quadrature weights and the weight kernel
+        of space row m at the nu_m quadrature nodes."""
+        out = []
+        for m, row in zip(marks, space):
+            wn, ww = self.spec.nu.quadrature(m)
+            out.append((ww, self.weight_kernel(wn, row)))
+        return out
+
+    @cached_property
+    def _node_weight_kernels(self) -> list:
+        return self._weight_kernels(self.nodes, self.space)
+
+    def _f(self, r: np.ndarray) -> np.ndarray:
+        """f(r, m_i, m_j) for each radius, shape (R, M, M)."""
         m = self.nodes
-        return self.spec.f(np.full((len(m), len(m)), r), m[:, None], m[None, :])
+        return self.spec.f(r[:, None, None], m[:, None], m[None, :])
 
-
-# ---------------------------------------------------------------------------
-# exact thinned intensities
-# ---------------------------------------------------------------------------
-
-def intensity_mat1(spec: ModelSpec) -> float:
-    """lam * p0 * exp(-lam * int f(||x||) dx) for the unmarked model."""
-    return intensity_report(spec).value
-
-
-def intensity_marked(spec: ModelSpec) -> float:
-    """Mark-averaged retention intensity of the marked mutual-deletion model."""
-    return intensity_report(spec).value
-
-
-def intensity_mat2(spec: ModelSpec, method: str = "auto") -> float:
-    """Intensity of the weighted (competition) model.
-
-    method "reduction" uses the mark-independent change-of-variables
-    closed form p0 * E[(1 - exp(-lam C_m)) / C_m]; "direct" integrates
-    q_m(w) over the weight distribution numerically; "auto" picks the
-    reduction when the weight family is mark-independent.
-    """
-    return _intensity_mat2_report(spec, method).value
-
-
-def intensity(spec: ModelSpec) -> float:
-    """Analytic intensity of any model variant."""
-    return intensity_report(spec).value
-
-
-def intensity_report(spec: ModelSpec) -> IntensityResult:
-    """Intensity with a structured divergence diagnostic instead of raising."""
-    if spec.variant == "mat2":
-        return _intensity_mat2_report(spec, "auto")
-    try:
-        if spec.variant == "mat1":
-            C = space_integral(spec.f, spec.dim)
-            if not math.isfinite(C):
-                raise DivergentModelError
-            value = spec.lam * spec.p0 * math.exp(-spec.lam * C)
-        else:
-            ker = _MarkedKernels(spec)
-            value = spec.lam * spec.p0 * float(
-                np.dot(ker.weights, np.exp(ker.log_q)))
-    except DivergentModelError:
-        return IntensityResult(0.0, True,
-                               "non-integrable interaction: the thinning "
-                               "removes all points almost surely")
-    return IntensityResult(value)
-
-
-def _intensity_mat2_report(spec: ModelSpec, method: str) -> IntensityResult:
-    if spec.variant != "mat2":
-        raise ValueError("intensity_mat2 requires a mat2 spec")
-    try:
-        ker = _MarkedKernels(spec)
-    except DivergentModelError:
-        return IntensityResult(0.0, True,
-                               "non-integrable interaction: the thinning "
-                               "removes all points almost surely")
-    if method == "auto":
-        method = "reduction" if spec.nu.mark_independent else "direct"
-    if method == "reduction":
-        if not spec.nu.mark_independent:
-            raise ValueError("reduction path requires a mark-independent "
+    def _mat2_method(self, method: str) -> str:
+        independent = self.spec.nu.mark_independent
+        if method == "auto":
+            return "closed" if independent else "direct"
+        if method not in ("closed", "direct"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "closed" and not independent:
+            raise ValueError("the closed form requires a mark-independent "
                              "weight distribution")
-        # p0 * E[(1 - exp(-lam C_m)) / C_m] = lam p0 E[phi(-lam C_m)]
-        value = spec.lam * spec.p0 * float(
-            np.dot(ker.weights, _phi(ker.log_q)))
-    elif method == "direct":
-        value = spec.lam * spec.p0 * _mean_weight_retention(spec, ker)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return IntensityResult(value)
+        return method
 
+    # -- characteristics at a given lam ------------------------------------
 
-def _mean_weight_retention(spec: ModelSpec, ker: _MarkedKernels) -> float:
-    """E_mu E_nu_m [ q_m(w) ] by numeric double integration."""
-    total = 0.0
-    for i, (m, wm) in enumerate(zip(ker.nodes, ker.weights)):
-        wn, ww = spec.nu.quadrature(m)
-        # log q_m(w) = -lam * sum_l mu_l F_{nu_l}(w) * space(m, l)
-        F = np.stack([spec.nu.cdf(wn, l) for l in ker.nodes])   # (L, W)
-        log_qmw = -spec.lam * np.einsum("l,l,lw->w", ker.weights,
-                                        ker.space[i], F)
-        total += wm * float(np.dot(ww, np.exp(log_qmw)))
-    return total
+    def retention(self, lam, marks=None, method: str = "auto") -> np.ndarray:
+        """Probability that a base point of mark m survives the pairwise
+        thinning, at the mark nodes or at `marks`.
 
-
-def intensity_profile(spec: ModelSpec):
-    """Callable lam -> intensity with the lam-independent kernels cached.
-
-    All three variants have intensity of the form
-    lam * p0 * E[exp(-lam * C)] (or its phi-transform) where the random
-    kernel C does not depend on lam; precomputing it makes repeated
-    evaluation along a lam axis cheap, which the intensity-constraint
-    root solve relies on.  Raises DivergentModelError for non-integrable
-    interactions.
-    """
-    p0 = spec.p0
-    if spec.variant == "mat1":
-        C = space_integral(spec.f, spec.dim)
-        if not math.isfinite(C):
-            raise DivergentModelError(
-                "non-integrable interaction: the thinning removes all "
-                "points almost surely")
-        return lambda lam: lam * p0 * math.exp(-lam * C)
-    ker = _MarkedKernels(spec)
-    w, C = ker.weights, ker.C
-    if spec.variant == "mat1-marked":
-        return lambda lam: lam * p0 * float(np.dot(w, np.exp(-lam * C)))
-    if spec.nu.mark_independent:
-        return lambda lam: lam * p0 * float(np.dot(w, _phi(-lam * C)))
-    kernels = []
-    for i, m in enumerate(ker.nodes):
-        wn, ww = spec.nu.quadrature(m)
-        F = np.stack([spec.nu.cdf(wn, l) for l in ker.nodes])
-        kernels.append((ww, np.einsum("l,l,lw->w", w, ker.space[i], F)))
-
-    def profile(lam):
-        tot = sum(wi * float(np.dot(ww, np.exp(-lam * k)))
-                  for wi, (ww, k) in zip(w, kernels))
-        return lam * p0 * tot
-
-    return profile
-
-
-# ---------------------------------------------------------------------------
-# exact pair correlation functions
-# ---------------------------------------------------------------------------
-
-def pcf_mat1(spec: ModelSpec, r) -> np.ndarray:
-    """(1 - f(r))^2 exp(lam [f (*) f](r)); independent of p0."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    sl = spec.f.slice()
-    conv = np.array([radial_self_convolution(sl, sl, spec.dim, ri)
-                     for ri in r_arr])
-    # extreme lam can overflow to inf; callers comparing contrasts
-    # discard such branches
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = (1.0 - sl(r_arr)) ** 2 * np.exp(spec.lam * conv)
-    return g if np.ndim(r) else float(g[0])
-
-
-def pcf_marked(spec: ModelSpec, r) -> np.ndarray:
-    """Mark-averaged pair correlation of the marked mutual-deletion model.
-
-    The p0 factors cancel against the intensity and are dropped
-    analytically; the result does not depend on p0.
-    """
-    ker = _MarkedKernels(spec)
-    q = np.exp(ker.log_q)
-    denom = float(np.dot(ker.weights, q)) ** 2
-    if denom == 0.0:
-        raise DivergentModelError("pair correlation undefined: intensity is 0")
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r_arr)
-    W = ker.weights
-    for idx, ri in enumerate(r_arr):
-        fmat = ker.f_matrix(ri)
-        qmn = np.exp(ker.log_qmn(ri))
-        integrand = (1.0 - fmat) ** 2 * q[:, None] * q[None, :] * qmn
-        out[idx] = float(W @ integrand @ W) / denom
-    return out if np.ndim(r) else float(out[0])
-
-
-def pcf_mat2(spec: ModelSpec, r, method: str = "auto") -> np.ndarray:
-    """Pair correlation of the weighted (competition) model; p0-free.
-
-    For a mark-independent weight distribution the double weight integral
-    I_r(m, n) collapses to the closed form J(a,b,c) + J(b,a,c); otherwise
-    it is evaluated by nested adaptive quadrature split at the w = t
-    diagonal (no closed form exists for mark-dependent weight families).
-    """
-    ker = _MarkedKernels(spec)
-    if method == "auto":
-        method = "closed" if spec.nu.mark_independent else "direct"
-    W = ker.weights
-    a = ker.log_q
-    if method == "closed":
-        if not spec.nu.mark_independent:
-            raise ValueError("closed path requires a mark-independent "
-                             "weight distribution")
-        denom = float(np.dot(W, _phi(a))) ** 2
-    elif method == "direct":
-        denom = _mean_weight_retention(spec, ker) ** 2
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if denom == 0.0:
-        raise DivergentModelError("pair correlation undefined: intensity is 0")
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r_arr)
-    for idx, ri in enumerate(r_arr):
-        if ri <= 0:
-            raise ValueError("pcf_mat2 requires r > 0")
-        fmat = ker.f_matrix(ri)
-        if method == "closed":
-            c = ker.log_qmn(ri)
-            I = competition_integral(a[:, None], a[None, :], c)
+        exp(-lam C_m) for the mutual-deletion variants.  For mat2, method
+        "closed" gives phi(-lam C_m) (mark-independent weights only) and
+        "direct" E_nu_m[q_m(w)] by weight quadrature; "auto" picks closed
+        when the weights are mark-independent.  An array lam adds a
+        leading axis.
+        """
+        lam = np.asarray(lam, dtype=float)[..., None]
+        if marks is None:
+            space, C = self.space, self.C
         else:
-            I = _competition_integral_general(spec, ker, ri)
-        out[idx] = float(W @ ((1.0 - fmat) * I) @ W) / denom
-    return out if np.ndim(r) else float(out[0])
+            space = self._space_at(marks)
+            C = space @ self.weights
+        if self.spec.variant != "mat2":
+            return np.exp(-lam * C)
+        if self._mat2_method(method) == "closed":
+            return _phi(-lam * C)
+        kernels = (self._node_weight_kernels if marks is None
+                   else self._weight_kernels(marks, space))
+        return np.stack([np.exp(-lam * k) @ ww for ww, k in kernels], axis=-1)
+
+    def intensity(self, lam, method: str = "auto"):
+        """lam * p0 * E_mu[retention]; lam may be an array."""
+        return lam * self.spec.p0 * (self.retention(lam, method=method)
+                                     @ self.weights)
+
+    def pcf(self, lam: float, r, method: str = "auto"):
+        """Pair correlation at r; independent of p0.
+
+        For mat2, method "closed" uses J(a,b,c) + J(b,a,c) for the double
+        weight integral I_r(m, n) (mark-independent weights only);
+        "direct" evaluates it by nested adaptive quadrature split at the
+        w = t diagonal.  "auto" picks closed when it applies.
+        """
+        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        W = self.weights
+        variant = self.spec.variant
+        if variant == "mat2":
+            method = self._mat2_method(method)
+            if np.any(r_arr <= 0):
+                raise ValueError("pcf_mat2 requires r > 0")
+        keep = 1.0 - self._f(r_arr)
+        if variant == "mat1":
+            # q_m cancels against the intensity: the space integral is
+            # not needed
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = keep[:, 0, 0] ** 2 * np.exp(lam * self._conv(r_arr)[:, 0, 0])
+            return g if np.ndim(r) else float(g[0])
+        q = self.retention(lam, method=method)
+        denom = float(W @ q) ** 2
+        if denom == 0.0:
+            raise DivergentModelError("pair correlation undefined: intensity is 0")
+        if variant == "mat1-marked":
+            integrand = (keep ** 2 * q[:, None] * q[None, :]
+                         * np.exp(lam * self._conv(r_arr)))
+        elif method == "closed":
+            a = -lam * self.C
+            integrand = keep * competition_integral(
+                a[:, None], a[None, :], lam * self._conv(r_arr))
+        else:
+            integrand = keep * np.array([
+                _competition_integral_general(self, lam, ri) for ri in r_arr])
+        g = W @ integrand @ W / denom
+        return g if np.ndim(r) else float(g[0])
 
 
-def _competition_integral_general(spec: ModelSpec, ker: _MarkedKernels,
+def _competition_integral_general(ker: ModelKernel, lam: float,
                                   r: float) -> np.ndarray:
     """I_r(m_i, n_j) for mark-dependent weights, by nested quadrature."""
-    conv = ker.conv_tensor(r)
-    M = len(ker.nodes)
-    lam = spec.lam
-    nu = spec.nu
+    conv = ker._conv_tensor(r)
+    nu = ker.spec.nu
     marks = ker.nodes
-    muw = ker.weights
+    M = len(marks)
+
+    def log_qw(w, mark_idx):
+        return -lam * ker.weight_kernel(w, ker.space[mark_idx])
+
     out = np.empty((M, M))
     for i in range(M):
         for j in range(i, M):
 
-            def log_qw(w, mark_idx):
-                F = np.array([float(nu.cdf(w, l)) for l in marks])
-                return -lam * float(np.dot(muw, ker.space[mark_idx] * F))
-
             def log_qmn(w, t):
-                F = np.array([float(nu.cdf(min(w, t), l)) for l in marks])
-                return lam * float(np.dot(muw, conv[i, j] * F))
+                return lam * ker.weight_kernel(min(w, t), conv[i, j])
 
             def inner(w):
                 def h(t):
@@ -551,13 +493,92 @@ def _competition_integral_general(spec: ModelSpec, ker: _MarkedKernels,
     return out
 
 
+# ---------------------------------------------------------------------------
+# exact thinned intensities
+# ---------------------------------------------------------------------------
+
+def intensity_report(spec: ModelSpec) -> IntensityResult:
+    """Intensity with a structured divergence diagnostic instead of raising."""
+    return _intensity_report(spec, "auto")
+
+
+def _intensity_report(spec: ModelSpec, method: str) -> IntensityResult:
+    try:
+        return IntensityResult(float(ModelKernel(spec).intensity(spec.lam,
+                                                                 method)))
+    except DivergentModelError:
+        return IntensityResult(0.0, True, _DIVERGENT)
+
+
+def intensity(spec: ModelSpec) -> float:
+    """Analytic intensity of any model variant."""
+    return intensity_report(spec).value
+
+
+intensity_mat1 = intensity_marked = intensity
+
+
+def intensity_mat2(spec: ModelSpec, method: str = "auto") -> float:
+    """Intensity of the weighted (competition) model.
+
+    method "reduction" uses the mark-independent change-of-variables
+    closed form p0 * E[(1 - exp(-lam C_m)) / C_m]; "direct" integrates
+    q_m(w) over the weight distribution numerically; "auto" picks the
+    reduction when the weight family is mark-independent.
+    """
+    if spec.variant != "mat2":
+        raise ValueError("intensity_mat2 requires a mat2 spec")
+    if method not in ("auto", "reduction", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+    return _intensity_report(
+        spec, "closed" if method == "reduction" else method).value
+
+
+def intensity_profile(spec: ModelSpec):
+    """Callable lam -> intensity with the lam-independent kernels cached.
+
+    All three variants have intensity of the form
+    lam * p0 * E[exp(-lam * C)] (or its phi-transform) where the random
+    kernel C does not depend on lam; the profile is the bound method
+    ``ModelKernel(spec).intensity``, which also takes an array of lam.
+    Its first call raises DivergentModelError for non-integrable
+    interactions.
+    """
+    return ModelKernel(spec).intensity
+
+
+# ---------------------------------------------------------------------------
+# exact pair correlation functions
+# ---------------------------------------------------------------------------
+
+def pcf_mat1(spec: ModelSpec, r) -> np.ndarray:
+    """(1 - f(r))^2 exp(lam [f (*) f](r)); independent of p0."""
+    return ModelKernel(spec).pcf(spec.lam, r)
+
+
+def pcf_marked(spec: ModelSpec, r) -> np.ndarray:
+    """Mark-averaged pair correlation of the marked mutual-deletion model.
+
+    The p0 factors cancel against the intensity and are dropped
+    analytically; the result does not depend on p0.
+    """
+    return ModelKernel(spec).pcf(spec.lam, r)
+
+
+def pcf_mat2(spec: ModelSpec, r, method: str = "auto") -> np.ndarray:
+    """Pair correlation of the weighted (competition) model; p0-free.
+
+    For a mark-independent weight distribution the double weight integral
+    I_r(m, n) collapses to the closed form J(a,b,c) + J(b,a,c); otherwise
+    it is evaluated by nested adaptive quadrature split at the w = t
+    diagonal (no closed form exists for mark-dependent weight families).
+    """
+    return ModelKernel(spec).pcf(spec.lam, r, method)
+
+
 def pcf(spec: ModelSpec, r, **kw) -> np.ndarray:
     """Analytic pair correlation of any model variant."""
-    if spec.variant == "mat1":
-        return pcf_mat1(spec, r)
-    if spec.variant == "mat1-marked":
-        return pcf_marked(spec, r)
-    return pcf_mat2(spec, r, **kw)
+    return ModelKernel(spec).pcf(spec.lam, r, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +586,19 @@ def pcf(spec: ModelSpec, r, **kw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def k_function(spec: ModelSpec, r_grid: np.ndarray, refine: int = 8) -> np.ndarray:
-    """K(r) = int_0^r g(s) d b_d s^(d-1) ds on r_grid (cumulative trapezoid)."""
+    """K(r) = int_0^r g(s) d b_d s^(d-1) ds on r_grid (cumulative trapezoid).
+
+    For the unmarked model the fine grid also holds each jump/kink radius
+    b of f and the next float above b, so that no trapezoid panel spans
+    the jump of g at b.
+    """
     r_grid = np.asarray(r_grid, dtype=float)
-    fine = np.unique(np.concatenate([np.linspace(1e-9, r_grid[-1],
-                                                 refine * len(r_grid)), r_grid]))
+    parts = [np.linspace(1e-9, r_grid[-1], refine * len(r_grid)), r_grid]
+    if spec.variant == "mat1":
+        b = np.array([x for x in spec.f.slice().breakpoints
+                      if 0.0 < x < r_grid[-1]])
+        parts += [b, np.nextafter(b, np.inf)]
+    fine = np.unique(np.concatenate(parts))
     g = np.atleast_1d(pcf(spec, fine))
     d = spec.dim
     integrand = g * d * ball_volume(d) * fine ** (d - 1)
@@ -593,22 +623,6 @@ def retained_mark_density(spec: ModelSpec, mark_grid: np.ndarray) -> np.ndarray:
     if spec.mu.is_discrete:
         raise ValueError("retained mark density needs a continuous mark "
                          "distribution")
-    ker = _MarkedKernels(spec)
     mark_grid = np.asarray(mark_grid, dtype=float)
-    dbd = spec.dim * ball_volume(spec.dim)
-    # C(m, l_k) on the evaluation grid
-    C = np.array([
-        [dbd * tail_integral(spec.f, spec.dim, m, l) for l in ker.nodes]
-        for m in mark_grid])
-    if spec.nu.mark_independent:
-        retention = _phi(-spec.lam * C @ ker.weights)
-    else:
-        retention = np.empty(len(mark_grid))
-        for idx, m in enumerate(mark_grid):
-            wn, ww = spec.nu.quadrature(m)
-            F = np.stack([spec.nu.cdf(wn, l) for l in ker.nodes])
-            log_q = -spec.lam * np.einsum("l,l,lw->w", ker.weights, C[idx], F)
-            retention[idx] = float(np.dot(ww, np.exp(log_q)))
-    dens = retention * spec.mu.pdf(mark_grid)
-    norm = np.trapezoid(dens, mark_grid)
-    return dens / norm
+    dens = ModelKernel(spec).retention(spec.lam, mark_grid) * spec.mu.pdf(mark_grid)
+    return dens / np.trapezoid(dens, mark_grid)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: simulate, analytic, estimate, fit, devtest, validate.
-Global flags: --seed, --threads, --json-errors, --manifest OUT.json.
+Global flags: --seed, --json-errors, --manifest OUT.json.
 Exit codes: 0 success, 2 validation error, 3 numeric failure
 (divergence / optimizer non-convergence), 4 I/O error.  Every run can
 write a manifest recording the command line, resolved configuration,
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -54,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "inference for probabilistically thinned point processes.")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker-thread budget (advisory)")
     parser.add_argument("--json-errors", action="store_true",
                         help="machine-readable JSON errors on stderr")
     parser.add_argument("--manifest", metavar="OUT.json",
@@ -271,8 +268,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    if args.threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     t0 = time.monotonic()
     try:
         outputs = _COMMANDS[args.command](args)

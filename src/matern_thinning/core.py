@@ -161,7 +161,7 @@ class SummaryTable:
     provenance: str = "analytic"
 
     _STATISTICS = ("pcf", "K", "L", "G", "F", "intensity", "mark-density")
-    _PROVENANCES = ("analytic", "empirical", "simulated-envelope")
+    _PROVENANCES = ("analytic", "empirical")
 
     def __post_init__(self):
         if self.statistic not in self._STATISTICS:

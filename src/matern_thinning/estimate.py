@@ -33,7 +33,7 @@ from scipy.spatial import cKDTree
 from .core import PointPattern, SummaryTable, Window, ball_volume
 
 __all__ = ["EstimatorConfig", "resolve_bandwidth", "resolve_r_grid",
-           "estimate_intensity", "estimate_pcf", "estimate_K", "estimate_L",
+           "estimate_pcf", "estimate_K", "estimate_L",
            "estimate_G", "estimate_F", "expected_pcf_estimate"]
 
 # scale-equivariant rule-of-thumb bandwidth constants, h = C_d / lam^(1/d)
@@ -117,11 +117,6 @@ def resolve_r_grid(window: Window, cfg: EstimatorConfig) -> np.ndarray:
             f"r_max={r_max:g} must be below half the shortest window side "
             f"({0.5 * shortest:g}) for the edge corrections to be valid")
     return np.linspace(0.0, r_max, cfg.n_points + 1)[1:]
-
-
-def estimate_intensity(pattern: PointPattern) -> float:
-    """Naive intensity estimate n / |W|."""
-    return pattern.intensity()
 
 
 # ---------------------------------------------------------------------------

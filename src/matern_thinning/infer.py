@@ -33,7 +33,8 @@ from scipy.special import expit, logit
 from scipy.stats import qmc
 
 from . import analytic
-from .analytic import DivergentModelError, radial_self_convolution
+from .analytic import DivergentModelError, ModelKernel
+from .analytic import radial_self_convolution  # noqa: F401  (wrapped by bench/tracing.py)
 from .core import PointPattern, SummaryTable
 from .estimate import (EstimatorConfig, estimate_F, estimate_G, estimate_L,
                        estimate_pcf, resolve_bandwidth, resolve_r_grid)
@@ -64,7 +65,7 @@ def _profile_roots(profile: Callable[[float], float], target: float,
     hi = lam_hi if lam_hi is not None else target * 1e4
     for _ in range(40):
         grid = np.geomspace(lo, hi, 400)
-        vals = np.array([profile(x) for x in grid])
+        vals = np.asarray(profile(grid), dtype=float)
         if lam_hi is not None or vals[-1] < target or vals[-1] < vals.max():
             break
         hi *= 100.0
@@ -92,13 +93,11 @@ def solve_lambda_constraint(target: float, build: Callable[[Mapping], ModelSpec]
     exceeds the supremum of the retention map (diagnosed, not an error).
     A divergent (non-integrable) interaction also yields no roots.
     """
-    params = dict(fixed_params or {})
-    params["lam"] = 1.0
+    kernel = ModelKernel(build({**(fixed_params or {}), "lam": 1.0}))
     try:
-        profile = analytic.intensity_profile(build(params))
+        roots, _ = _profile_roots(kernel.intensity, target, lam_max)
     except DivergentModelError:
         return []
-    roots, _ = _profile_roots(profile, target, lam_max)
     return roots
 
 
@@ -202,23 +201,6 @@ class FitResult:
     message: str = ""
 
 
-def _model_pcf_curve(build, params: dict, variant_probe: ModelSpec,
-                     r: np.ndarray, lam: float, conv_cache: dict) -> np.ndarray:
-    """Model pcf on the grid; for the unmarked variant the lam-independent
-    convolution grid is cached so both constraint roots reuse it."""
-    if variant_probe.variant == "mat1":
-        if "conv" not in conv_cache:
-            sl = variant_probe.f.slice()
-            conv_cache["conv"] = np.array(
-                [radial_self_convolution(sl, sl, variant_probe.dim, ri)
-                 for ri in r])
-            conv_cache["one_minus_f_sq"] = (1.0 - sl(r)) ** 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (conv_cache["one_minus_f_sq"]
-                    * np.exp(lam * conv_cache["conv"]))
-    return np.atleast_1d(analytic.pcf(build({**params, "lam": lam}), r))
-
-
 def fit_min_contrast(problem: FitProblem, seed: int = 0, restarts: int = 5,
                      maxiter: int = 400, xatol: float = 1e-6,
                      fatol: float = 1e-12) -> FitResult:
@@ -271,19 +253,18 @@ def fit_min_contrast(problem: FitProblem, seed: int = 0, restarts: int = 5,
         n_eval += 1
         params = {fp.name: fp.from_internal(xi) for fp, xi in zip(free, x)}
         try:
+            # one kernel serves the root solve and the pcf at every root
             if problem.constraint == "intensity-match":
-                profile = analytic.intensity_profile(
-                    problem.build({**params, "lam": 1.0}))
-                roots, sup = _profile_roots(profile, lam_hat)
+                kernel = ModelKernel(problem.build({**params, "lam": 1.0}))
+                roots, sup = _profile_roots(kernel.intensity, lam_hat)
                 if not roots:
                     return 1e6 * (1.0 + max(0.0, (lam_hat - sup) / lam_hat))
             else:
                 roots = [params.pop("lam")]
-            probe = problem.build({**params, "lam": roots[0]})
-            cache = {}
+                kernel = ModelKernel(problem.build({**params, "lam": roots[0]}))
             best = math.inf
             for lam in roots:
-                g = _model_pcf_curve(problem.build, params, probe, r, lam, cache)
+                g = kernel.pcf(lam, r)
                 with np.errstate(over="ignore", invalid="ignore"):
                     delta = float(np.trapezoid((g_hat - g) ** 2, r))
                 if not math.isfinite(delta):
@@ -503,18 +484,9 @@ def radius_pdf_after_thinning(model: ModelSpec,
     """
     if not model.marked:
         raise ValueError("radius_pdf_after_thinning requires a marked model")
+    ker = ModelKernel(model)
     if model.mu.is_discrete:
-        ker = analytic._MarkedKernels(model)
-        if model.variant == "mat2":
-            if model.nu.mark_independent:
-                retention = analytic._phi(ker.log_q)
-            else:
-                retention = np.array([
-                    _weight_retention_at(model, ker, i)
-                    for i in range(len(ker.nodes))])
-        else:
-            retention = np.exp(ker.log_q)
-        masses = retention * ker.weights
+        masses = ker.retention(model.lam) * ker.weights
         masses /= masses.sum()
         order = np.argsort(ker.nodes)
         return SummaryTable("mark-density", ker.nodes[order], masses[order],
@@ -523,20 +495,7 @@ def radius_pdf_after_thinning(model: ModelSpec,
     if mark_grid is None:
         mark_grid = np.linspace(lo, hi, 200)
     mark_grid = np.asarray(mark_grid, dtype=float)
-    if model.variant == "mat2":
-        dens = analytic.retained_mark_density(model, mark_grid)
-    else:
-        ker = analytic._MarkedKernels(model)
-        dbd = model.dim * analytic.ball_volume(model.dim)
-        C = np.array([[dbd * analytic.tail_integral(model.f, model.dim, m, l)
-                       for l in ker.nodes] for m in mark_grid])
-        dens = np.exp(-model.lam * C @ ker.weights) * model.mu.pdf(mark_grid)
-        dens /= np.trapezoid(dens, mark_grid)
-    return SummaryTable("mark-density", mark_grid, dens, provenance="analytic")
-
-
-def _weight_retention_at(model: ModelSpec, ker, i: int) -> float:
-    wn, ww = model.nu.quadrature(ker.nodes[i])
-    F = np.stack([model.nu.cdf(wn, l) for l in ker.nodes])
-    log_q = -model.lam * np.einsum("l,l,lw->w", ker.weights, ker.space[i], F)
-    return float(np.dot(ww, np.exp(log_q)))
+    dens = ker.retention(model.lam, mark_grid) * model.mu.pdf(mark_grid)
+    return SummaryTable("mark-density", mark_grid,
+                        dens / np.trapezoid(dens, mark_grid),
+                        provenance="analytic")

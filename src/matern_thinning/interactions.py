@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 __all__ = ["InteractionFunction", "RadialSlice", "make_interaction",
-           "registry_make", "registry_ids"]
+           "registry_ids"]
 
 CUTOFF_THRESHOLD = 1e-10
 
@@ -282,8 +282,3 @@ def make_interaction(id: str, **params) -> InteractionFunction:
         raise ValueError(f"unknown interaction id {id!r}; "
                          f"known: {', '.join(registry_ids())}") from None
     return factory(**params)
-
-
-def registry_make(id: str, params: dict, dim: int = None) -> InteractionFunction:
-    """Dict-parameter variant of make_interaction (file-format entry point)."""
-    return make_interaction(id, **params)

@@ -180,12 +180,13 @@ def _finish(base: PointPattern, deleted: np.ndarray, p0: float,
 # thinning rules
 # ---------------------------------------------------------------------------
 
-def thin_mat1(base: PointPattern, f: InteractionFunction, p0: float,
-              cfg: SimConfig,
-              target_window: Optional[Window] = None) -> PointPattern:
-    """Mutual probabilistic deletion: each of an interacting pair deletes
-    the other independently with probability f(distance[, marks]); the
-    survivors are independently p0-thinned and clipped to target_window.
+def _thin(base: PointPattern, f: InteractionFunction, p0: float,
+          cfg: SimConfig, target_window: Optional[Window],
+          weights: Optional[np.ndarray] = None) -> PointPattern:
+    """Each point of an interacting pair deletes the other with probability
+    f(distance[, marks]); with `weights`, only a point whose weight is
+    greater than or equal to the other's is at risk.  The survivors are
+    independently p0-thinned and clipped to target_window.
     """
     if not (0.0 < p0 <= 1.0):
         raise ValueError("p0 must be in (0, 1]")
@@ -201,9 +202,22 @@ def thin_mat1(base: PointPattern, f: InteractionFunction, p0: float,
             # u keyed (victim, killer): j deletes i with probability f
             kill_i = pair_uniform(key_pairs, i, j) < probs
             kill_j = pair_uniform(key_pairs, j, i) < probs
-            np.logical_or.at(deleted, i, kill_i)
-            np.logical_or.at(deleted, j, kill_j)
+            if weights is not None:
+                kill_i &= weights[i] >= weights[j]
+                kill_j &= weights[j] >= weights[i]
+            deleted[i[kill_i]] = True
+            deleted[j[kill_j]] = True
     return _finish(base, deleted, p0, key_p0, target_window)
+
+
+def thin_mat1(base: PointPattern, f: InteractionFunction, p0: float,
+              cfg: SimConfig,
+              target_window: Optional[Window] = None) -> PointPattern:
+    """Mutual probabilistic deletion: each of an interacting pair deletes
+    the other independently with probability f(distance[, marks]); the
+    survivors are independently p0-thinned and clipped to target_window.
+    """
+    return _thin(base, f, p0, cfg, target_window)
 
 
 def thin_mat2(base: PointPattern, f: InteractionFunction, p0: float,
@@ -218,23 +232,7 @@ def thin_mat2(base: PointPattern, f: InteractionFunction, p0: float,
         raise ValueError("thin_mat2 requires a weighted base pattern")
     if not f.marked:
         raise ValueError("thin_mat2 requires a marked interaction")
-    if not (0.0 < p0 <= 1.0):
-        raise ValueError("p0 must be in (0, 1]")
-    key_pairs = _stream_key(cfg.seed, cfg.replicate_index, 0x7061)
-    key_p0 = _stream_key(cfg.seed, cfg.replicate_index, 0x7030)
-    deleted = np.zeros(len(base), dtype=bool)
-    r_max = _interaction_range(f, base)
-    if r_max > 0 and len(base) > 1:
-        pairs = _candidate_pairs(base.points, r_max, cfg.brute_force_pairs)
-        if len(pairs):
-            probs = _pair_probs(f, base, pairs, _pair_distances(base.points, pairs))
-            i, j = pairs[:, 0], pairs[:, 1]
-            vi, vj = base.weights[i], base.weights[j]
-            kill_i = (vi >= vj) & (pair_uniform(key_pairs, i, j) < probs)
-            kill_j = (vj >= vi) & (pair_uniform(key_pairs, j, i) < probs)
-            np.logical_or.at(deleted, i, kill_i)
-            np.logical_or.at(deleted, j, kill_j)
-    return _finish(base, deleted, p0, key_p0, target_window)
+    return _thin(base, f, p0, cfg, target_window, base.weights)
 
 
 # ---------------------------------------------------------------------------

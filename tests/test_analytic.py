@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from matern_thinning import MarkDistribution, ModelSpec, WeightDistribution, \
     make_interaction
-from matern_thinning.analytic import (DivergentModelError, competition_integral,
+from matern_thinning.analytic import (DivergentModelError, ModelKernel,
+                                      competition_integral,
                                       intensity, intensity_mat2,
                                       intensity_profile, intensity_report,
                                       k_function, l_function, pcf, pcf_mat1,
@@ -114,20 +115,30 @@ class TestIntensity:
 
     def test_profile_matches_direct_evaluation(self):
         mu = MarkDistribution.uniform(0.1, 0.3, quadrature_nodes=12)
+        # one mark keeps the nested quadrature of the direct mat2 pcf cheap
+        point = MarkDistribution.point_mass(0.2)
         specs = [
             ModelSpec("mat1", 1.0, 0.8, make_interaction("hardcore", R=0.5), 2),
             ModelSpec("mat1-marked", 1.0, 0.7,
                       make_interaction("marksum_hardcore"), 2, mu=mu),
             ModelSpec("mat2", 1.0, 0.9, make_interaction("fc", c=10.0), 2,
                       mu=mu, nu=WeightDistribution.uniform()),
+            ModelSpec("mat2", 1.0, 1.0, make_interaction("marksum_hardcore"),
+                      2, mu=point, nu=WeightDistribution.mark_indexed(
+                          lambda m: stats.uniform(0.0, 1.0 + 4.0 * m))),
         ]
+        r = np.array([0.3, 0.7, 1.2])
         for spec in specs:
             profile = intensity_profile(spec)
+            kernel = ModelKernel(spec)
             for lam in (0.2, 1.0, 4.0):
                 rebuilt = ModelSpec(spec.variant, lam, spec.p0, spec.f,
                                     spec.dim, mu=spec.mu, nu=spec.nu)
                 assert profile(lam) == pytest.approx(intensity(rebuilt),
                                                      rel=1e-12)
+                # one kernel serves every lam, as in the fitter
+                assert kernel.pcf(lam, r) == pytest.approx(pcf(rebuilt, r),
+                                                           rel=1e-12)
 
     def test_mat2_reduction_and_direct_paths_agree(self):
         mu = MarkDistribution.truncated_gamma(2.0, 0.05, quadrature_nodes=16)
@@ -253,6 +264,20 @@ class TestDerivedCurves:
         spec = ModelSpec("mat1", 0.3, 1.0, make_interaction("hardcore", R=1.0), 2)
         K = k_function(spec, np.array([0.5, 0.999]))
         assert np.allclose(K, 0.0, atol=1e-10)   # no pairs inside the core
+
+        # beyond the core, K(r) = int_1^r exp(0.3 lens(s)) 2 pi s ds: the
+        # jump of g at R = 1 must not leak into the trapezoid; refine=64
+        # makes the smooth-part trapezoid error (O(h^2)) negligible
+        def lens_integral(r):
+            val, _ = integrate.quad(
+                lambda s: math.exp(0.3 * lens_area(1.0, s)) * 2 * math.pi * s,
+                1.0, min(r, 2.0), epsabs=1e-13, epsrel=1e-12)
+            return val + math.pi * max(r * r - 4.0, 0.0)
+
+        r = np.array([1.2, 2.0, 3.0])
+        K = k_function(spec, np.array([0.5, 0.999, *r]), refine=64)
+        assert np.allclose(K[2:], [lens_integral(x) for x in r],
+                           rtol=1e-5, atol=0.0)
 
     def test_retained_mark_density_normalized_and_shifted(self):
         mu = MarkDistribution.truncated_gamma(2.0, 0.05, quadrature_nodes=16)

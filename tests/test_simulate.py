@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from matern_thinning import (MarkDistribution, ModelSpec, SimConfig,
-                             WeightDistribution, Window, make_interaction,
-                             simulate_model)
+from matern_thinning import (MarkDistribution, ModelSpec, PointPattern,
+                             SimConfig, WeightDistribution, Window,
+                             make_interaction, simulate_model)
 from matern_thinning.analytic import intensity
 from matern_thinning.simulate import (pair_uniform, resolve_halo,
                                       sample_poisson, thin_mat1, thin_mat2)
@@ -116,6 +116,21 @@ class TestThinningInvariants:
             set1 = {tuple(x) for x in kept1.points}
             set2 = {tuple(x) for x in kept2.points}
             assert set1 <= set2
+
+    def test_mat2_at_risk_is_the_larger_or_tied_weight(self):
+        # two points closer than their mark sum: f = 1 for the pair
+        pts = np.array([[5.0, 5.0], [5.1, 5.0]])
+        marks = np.array([0.1, 0.1])
+        f = make_interaction("marksum_hardcore")
+        cfg = SimConfig(seed=0)
+
+        def base(weights):
+            return PointPattern(WIN, pts, marks, np.array(weights))
+
+        kept = thin_mat2(base([0.2, 0.8]), f, 1.0, cfg)
+        assert np.array_equal(kept.weights, [0.2])
+        assert len(thin_mat2(base([0.5, 0.5]), f, 1.0, cfg)) == 0
+        assert len(thin_mat1(base([0.2, 0.8]), f, 1.0, cfg)) == 0
 
     def test_brute_force_equals_grid_enumeration(self):
         for spec, win in ((hardcore_spec(), WIN), (mat2_spec(), WIN)):
