@@ -7,7 +7,9 @@ self-convolution.  Integration intervals are always split at the
 interaction's declared jump/kink radii; panel endpoints additionally
 receive a sin-substitution that removes the square-root endpoint behavior
 the spherical geometry introduces, so indicator interactions integrate to
-near machine accuracy.
+near machine accuracy.  The weight integrals of the mat2 variant use one
+Gauss-Legendre rule per weight distribution, split at the support ends of
+every weight distribution of the model, where the weight cdfs have kinks.
 
 Every characteristic is lam times a lam-free integral of f in the
 exponent of a retention factor, so one ``ModelKernel`` per model holds
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -64,6 +66,16 @@ _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
 # sin-mapped Gauss-Legendre: node positions in (-1, 1) and du-weights.
 _sin_x = np.sin(0.5 * np.pi * _gl_x)
 _sin_w = 0.5 * np.pi * np.cos(0.5 * np.pi * _gl_x) * _gl_w
+
+
+@lru_cache
+def _gl_tail(K: int) -> np.ndarray:
+    """T with sum_k T[m, k] w_k h(x_k) = int_{x_m}^1 h for the K-node
+    Gauss-Legendre rule (x, w) and any polynomial h of degree < K, from
+    int_x^1 P_n = (P_{n-1}(x) - P_{n+1}(x)) / (2n + 1) for n >= 1."""
+    x, _ = np.polynomial.legendre.leggauss(K)
+    V = np.polynomial.legendre.legvander(x, K)
+    return 0.5 * ((1.0 - x)[:, None] + (V[:, :K - 1] - V[:, 2:]) @ V[:, 1:K].T)
 
 
 def _refine(bounds: np.ndarray, splits: int) -> np.ndarray:
@@ -342,28 +354,44 @@ class ModelKernel:
                                          for ri in r])
         return self._convs[key]
 
-    def weight_kernel(self, w, row) -> np.ndarray:
-        """sum_l mu_l F_{nu_l}(w) row[l] at the weight(s) w.
+    @cached_property
+    def _weight_ends(self) -> np.ndarray:
+        """The support ends of nu at the mark nodes: the kinks of F_{nu_l}."""
+        return np.unique([self.spec.nu.support(l) for l in self.nodes])
 
-        With row = space[m] this is -log q_m(w) / lam, for a point of
-        mark m and weight w; with row = conv[i, j] at r it is
+    def weight_kernel(self, F, rows) -> np.ndarray:
+        """sum_l mu_l F_{nu_l}(w) rows[..., l], given F[l] = F_{nu_l}(w).
+
+        With rows = space[m] this is -log q_m(w) / lam, for a point of
+        mark m and weight w; with rows = conv[i, j] at r it is
         log q_{m_i, m_j}(r) / lam when the smaller weight of the pair is w.
         """
-        F = np.array([self.spec.nu.cdf(w, l) for l in self.nodes])
-        return (self.weights * row) @ F
+        return np.tensordot(rows * self.weights, F, axes=1)
 
-    def _weight_kernels(self, marks, space) -> list:
-        """Per mark m: the nu_m quadrature weights and the weight kernel
-        of space row m at the nu_m quadrature nodes."""
-        out = []
-        for m, row in zip(marks, space):
-            wn, ww = self.spec.nu.quadrature(m)
-            out.append((ww, self.weight_kernel(wn, row)))
-        return out
+    def _weight_rule(self, marks, space):
+        """Gauss-Legendre rules of nu.quadrature_nodes nodes per panel for
+        each nu_m, on panels between the support ends of nu at `marks` and
+        at the mark nodes, where the F_{nu_l} have kinks.  Returns the
+        weights W of each nu_m (0 off its support), -log q_m / lam and the
+        F_{nu_l}, all at the nodes: shapes (n, P, K), (n, P, K), (M, P, K).
+        """
+        nu = self.spec.nu
+        ends = np.array([nu.support(m) for m in marks])
+        cuts = np.union1d(self._weight_ends, ends)
+        cuts = cuts[(cuts >= ends.min()) & (cuts <= ends.max())]
+        x, w = np.polynomial.legendre.leggauss(nu.quadrature_nodes)
+        lo, hi = cuts[:-1, None], cuts[1:, None]
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        inside = ((lo >= ends[:, None, :1]) & (hi <= ends[:, None, 1:]))
+        W = np.array([np.where(ins, 0.5 * (hi - lo) * w * nu.pdf(t, m), 0.0)
+                      for m, ins in zip(marks, inside)])
+        W /= W.sum(axis=(1, 2), keepdims=True)
+        F = np.array([nu.cdf(t, l) for l in self.nodes])
+        return W, self.weight_kernel(F, space), F
 
     @cached_property
-    def _node_weight_kernels(self) -> list:
-        return self._weight_kernels(self.nodes, self.space)
+    def _node_rule(self):
+        return self._weight_rule(self.nodes, self.space)
 
     def _f(self, r: np.ndarray) -> np.ndarray:
         """f(r, m_i, m_j) for each radius, shape (R, M, M)."""
@@ -403,9 +431,11 @@ class ModelKernel:
             return np.exp(-lam * C)
         if self._mat2_method(method) == "closed":
             return _phi(-lam * C)
-        kernels = (self._node_weight_kernels if marks is None
-                   else self._weight_kernels(marks, space))
-        return np.stack([np.exp(-lam * k) @ ww for ww, k in kernels], axis=-1)
+        rules = ([self._node_rule] if marks is None else
+                 [self._weight_rule([m], row[None]) for m, row in zip(marks, space)])
+        return np.concatenate([
+            np.sum(W * np.exp(-lam[..., None, None] * k), axis=(-2, -1))
+            for W, k, _ in rules], axis=-1)
 
     def intensity(self, lam, method: str = "auto"):
         """lam * p0 * E_mu[retention]; lam may be an array."""
@@ -417,8 +447,9 @@ class ModelKernel:
 
         For mat2, method "closed" uses J(a,b,c) + J(b,a,c) for the double
         weight integral I_r(m, n) (mark-independent weights only);
-        "direct" evaluates it by nested adaptive quadrature split at the
-        w = t diagonal.  "auto" picks closed when it applies.
+        "direct" splits it at the w = t diagonal and evaluates both halves
+        on the weight quadrature of the direct retention.  "auto" picks
+        closed when it applies.
         """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         W = self.weights
@@ -446,51 +477,26 @@ class ModelKernel:
             integrand = keep * competition_integral(
                 a[:, None], a[None, :], lam * self._conv(r_arr))
         else:
-            integrand = keep * np.array([
-                _competition_integral_general(self, lam, ri) for ri in r_arr])
+            integrand = keep * self._competition_direct(lam, r_arr)
         g = W @ integrand @ W / denom
         return g if np.ndim(r) else float(g[0])
 
-
-def _competition_integral_general(ker: ModelKernel, lam: float,
-                                  r: float) -> np.ndarray:
-    """I_r(m_i, n_j) for mark-dependent weights, by nested quadrature."""
-    conv = ker._conv_tensor(r)
-    nu = ker.spec.nu
-    marks = ker.nodes
-    M = len(marks)
-
-    def log_qw(w, mark_idx):
-        return -lam * ker.weight_kernel(w, ker.space[mark_idx])
-
-    out = np.empty((M, M))
-    for i in range(M):
-        for j in range(i, M):
-
-            def log_qmn(w, t):
-                return lam * ker.weight_kernel(min(w, t), conv[i, j])
-
-            def inner(w):
-                def h(t):
-                    return (float(nu.pdf(t, marks[j]))
-                            * math.exp(log_qw(t, j) + log_qmn(w, t)))
-                lo, hi = nu.support(marks[j])
-                parts = sorted({lo, hi, min(max(w, lo), hi)})
-                v = 0.0
-                for p0_, p1_ in zip(parts[:-1], parts[1:]):
-                    v += integrate.quad(h, p0_, p1_, limit=100,
-                                        epsabs=1e-12, epsrel=1e-9)[0]
-                return v
-
-            def outer(w):
-                return (float(nu.pdf(w, marks[i]))
-                        * math.exp(log_qw(w, i)) * inner(w))
-
-            lo, hi = nu.support(marks[i])
-            val = integrate.quad(outer, lo, hi, limit=100,
-                                 epsabs=1e-12, epsrel=1e-7)[0]
-            out[i, j] = out[j, i] = val
-    return out
+    def _competition_direct(self, lam: float, r: np.ndarray) -> np.ndarray:
+        """I_r(m_i, m_j) = H[i, j] + H[j, i], split at the w = t diagonal:
+        H[i, j] = int nu_i(dw) q_i(w) q_ij(w) S_j(w), S_j(w) = int_{t > w}
+        nu_j(dt) q_j(t).  S_j at a node is its later panels' sum plus the
+        integral of nu_j q_j's interpolant over the rest of its panel."""
+        W, k, F = self._node_rule
+        g = W * np.exp(-lam * k)                        # nu_i(dw) q_i(w)
+        panels = g.sum(axis=-1)
+        later = np.cumsum(panels[:, ::-1], axis=1)[:, ::-1] - panels
+        S = later[..., None] + g @ _gl_tail(g.shape[-1]).T
+        out = []
+        for ri in r:
+            q_ij = np.exp(lam * self.weight_kernel(F, self._conv_tensor(ri)))
+            H = np.einsum("ipk,ijpk,jpk->ij", g, q_ij, S)
+            out.append(H + H.T)
+        return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -551,34 +557,21 @@ def intensity_profile(spec: ModelSpec):
 # exact pair correlation functions
 # ---------------------------------------------------------------------------
 
-def pcf_mat1(spec: ModelSpec, r) -> np.ndarray:
-    """(1 - f(r))^2 exp(lam [f (*) f](r)); independent of p0."""
-    return ModelKernel(spec).pcf(spec.lam, r)
+def pcf(spec: ModelSpec, r, method: str = "auto") -> np.ndarray:
+    """Analytic pair correlation of any model variant; independent of p0.
 
-
-def pcf_marked(spec: ModelSpec, r) -> np.ndarray:
-    """Mark-averaged pair correlation of the marked mutual-deletion model.
-
-    The p0 factors cancel against the intensity and are dropped
-    analytically; the result does not depend on p0.
-    """
-    return ModelKernel(spec).pcf(spec.lam, r)
-
-
-def pcf_mat2(spec: ModelSpec, r, method: str = "auto") -> np.ndarray:
-    """Pair correlation of the weighted (competition) model; p0-free.
-
-    For a mark-independent weight distribution the double weight integral
+    mat1: (1 - f(r))^2 exp(lam [f (*) f](r)).  mat1-marked: its mark
+    average; the p0 factors cancel against the intensity.  mat2: for a
+    mark-independent weight distribution the double weight integral
     I_r(m, n) collapses to the closed form J(a,b,c) + J(b,a,c); otherwise
-    it is evaluated by nested adaptive quadrature split at the w = t
-    diagonal (no closed form exists for mark-dependent weight families).
+    (no closed form exists for mark-dependent weight families) it is split
+    at the w = t diagonal and evaluated on the weight quadrature of the
+    direct retention.  `method` is that of ``ModelKernel.pcf``.
     """
     return ModelKernel(spec).pcf(spec.lam, r, method)
 
 
-def pcf(spec: ModelSpec, r, **kw) -> np.ndarray:
-    """Analytic pair correlation of any model variant."""
-    return ModelKernel(spec).pcf(spec.lam, r, **kw)
+pcf_mat1 = pcf_marked = pcf_mat2 = pcf
 
 
 # ---------------------------------------------------------------------------

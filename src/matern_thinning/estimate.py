@@ -38,6 +38,8 @@ __all__ = ["EstimatorConfig", "resolve_bandwidth", "resolve_r_grid",
 
 # scale-equivariant rule-of-thumb bandwidth constants, h = C_d / lam^(1/d)
 _BANDWIDTH_COEF = {1: 0.10, 2: 0.15, 3: 0.26}
+# pairs per block of the pcf kernel sum: bounds its grid x pairs temporaries
+_PAIR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -152,13 +154,13 @@ def estimate_pcf(pattern: PointPattern,
     h = resolve_bandwidth(pattern, cfg)
     r = resolve_r_grid(pattern.window, cfg)
     dist, w = _close_pairs(pattern, r[-1] + h)
-    values = np.zeros_like(r)
-    if len(dist):
-        # ordered pairs: each unordered pair contributes twice
-        u = (r[:, None] - dist[None, :]) / h
+    total = np.zeros_like(r)
+    for s in range(0, len(dist), _PAIR_CHUNK):
+        u = (r[:, None] - dist[None, s:s + _PAIR_CHUNK]) / h
         kern = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u) / h, 0.0)
-        values = (2.0 / (d * ball_volume(d) * lam * lam)) * (
-            kern / w[None, :]).sum(axis=1) / r ** (d - 1)
+        total += (kern / w[None, s:s + _PAIR_CHUNK]).sum(axis=1)
+    # ordered pairs: each unordered pair contributes twice
+    values = 2.0 / (d * ball_volume(d) * lam * lam) * total / r ** (d - 1)
     values = np.where(r <= h, np.nan, values)
     return SummaryTable("pcf", r, values, provenance="empirical")
 

@@ -34,6 +34,16 @@ def sphere_overlap(R, r):
     return math.pi / 12.0 * (4 * R + r) * (2 * R - r) ** 2
 
 
+def two_atom_spec(quadrature_nodes=64):
+    """Marks 0.1 and 0.25 with probability 1/2 each, mark-indexed weights
+    nu_m = U(0, 1 + 4m), mark-sum hard core, lam = 1, d = 2."""
+    nu = WeightDistribution(dist=None, quadrature_nodes=quadrature_nodes,
+                            per_mark=lambda m: stats.uniform(0.0, 1.0 + 4.0 * m))
+    return ModelSpec("mat2", 1.0, 1.0, make_interaction("marksum_hardcore"), 2,
+                     mu=MarkDistribution.finite_discrete([0.1, 0.25], [0.5, 0.5]),
+                     nu=nu)
+
+
 class TestRadialSelfConvolution:
     def test_indicator_d2_equals_lens_area(self):
         hc = make_interaction("hardcore", R=1.0).slice()
@@ -115,7 +125,6 @@ class TestIntensity:
 
     def test_profile_matches_direct_evaluation(self):
         mu = MarkDistribution.uniform(0.1, 0.3, quadrature_nodes=12)
-        # one mark keeps the nested quadrature of the direct mat2 pcf cheap
         point = MarkDistribution.point_mass(0.2)
         specs = [
             ModelSpec("mat1", 1.0, 0.8, make_interaction("hardcore", R=0.5), 2),
@@ -126,6 +135,7 @@ class TestIntensity:
             ModelSpec("mat2", 1.0, 1.0, make_interaction("marksum_hardcore"),
                       2, mu=point, nu=WeightDistribution.mark_indexed(
                           lambda m: stats.uniform(0.0, 1.0 + 4.0 * m))),
+            two_atom_spec(),
         ]
         r = np.array([0.3, 0.7, 1.2])
         for spec in specs:
@@ -244,6 +254,64 @@ class TestPairCorrelation:
         closed = pcf_mat2(spec, r, method="closed")
         direct = pcf_mat2(spec, r, method="direct")
         assert np.allclose(direct, closed, rtol=1e-6)
+
+    def test_mat2_mark_indexed_weights_against_nested_quadrature(self):
+        # the weights' cdfs F_l(w) = min(w / b_l, 1) have kinks at the
+        # support ends b_l of the other marks, which the oracle splits at,
+        # as it splits at the w = t diagonal of min(w, t)
+        spec = two_atom_spec()
+        f, lam = spec.f, spec.lam
+        marks, mu = (0.1, 0.25), (0.5, 0.5)
+        b = [1.0 + 4.0 * m for m in marks]
+        space = [[space_integral(f, 2, m, l) for l in marks] for m in marks]
+
+        def F(w):
+            return [min(w / bl, 1.0) for bl in b]
+
+        def q(i, w):
+            return math.exp(-lam * sum(ml * Fl * s for ml, Fl, s in
+                                       zip(mu, F(w), space[i])))
+
+        def quad(h, hi, cuts):
+            points = sorted({c for c in cuts if 0.0 < c < hi})
+            return integrate.quad(h, 0.0, hi, points=points or None,
+                                  limit=200, epsabs=0.0, epsrel=1e-13)[0]
+
+        retention = [quad(lambda w: q(i, w) / b[i], b[i], b) for i in (0, 1)]
+        expected = lam * sum(m * p for m, p in zip(mu, retention))
+        assert intensity_mat2(spec, method="direct") == pytest.approx(
+            expected, rel=1e-10)
+
+        for r in (0.3, 0.45):
+            g = 0.0
+            for i in (0, 1):
+                for j in (0, 1):
+                    conv = [radial_self_convolution(f.slice(marks[i], l),
+                                                    f.slice(marks[j], l), 2, r)
+                            for l in marks]
+
+                    def q_pair(w, t):
+                        return math.exp(lam * sum(ml * Fl * c for ml, Fl, c in
+                                                  zip(mu, F(min(w, t)), conv)))
+
+                    def inner(w):
+                        return quad(lambda t: q(j, t) * q_pair(w, t) / b[j],
+                                    b[j], [w, *b])
+
+                    pair = quad(lambda w: q(i, w) * inner(w) / b[i], b[i], b)
+                    g += (mu[i] * mu[j] * (1.0 - f(r, marks[i], marks[j]))
+                          * pair)
+            g /= sum(m * p for m, p in zip(mu, retention)) ** 2
+            assert pcf_mat2(spec, r, method="direct") == pytest.approx(
+                g, rel=1e-10)
+
+    def test_mat2_weight_quadrature_converges(self):
+        r = np.array([0.3, 0.45, 1.5])
+        coarse, fine = two_atom_spec(16), two_atom_spec(64)
+        assert intensity_mat2(coarse, "direct") == pytest.approx(
+            intensity_mat2(fine, "direct"), rel=1e-12)
+        assert np.allclose(pcf_mat2(coarse, r, "direct"),
+                           pcf_mat2(fine, r, "direct"), rtol=1e-12, atol=0.0)
 
     def test_mat2_requires_positive_r(self):
         mu = MarkDistribution.point_mass(0.2)

@@ -141,6 +141,26 @@ class TestInvariances:
             a, b = est(p, cfg).values, est(q, cfg).values
             assert np.allclose(a, b, equal_nan=True, rtol=1e-12, atol=1e-12)
 
+    def test_pcf_equals_dense_kernel_sum(self):
+        # the estimator sums the kernel over blocks of pairs; here over all
+        # ordered pairs at once, from the full distance matrix
+        for win, lam in ((WIN, 5.0), (WIN, 0.5), (Window.box(3, 6.0), 2.0)):
+            p = sample_poisson(win, lam, cfg=SimConfig(seed=35))
+            cfg = EstimatorConfig(n_points=24, r_max=2.0)
+            d, h = win.dim, resolve_bandwidth(p, cfg)
+            r = resolve_r_grid(win, cfg)
+            delta = p.points[:, None, :] - p.points[None, :, :]
+            dist = np.linalg.norm(delta, axis=-1)
+            w = np.prod(win.sides - np.abs(delta), axis=-1)
+            off = ~np.eye(len(p), dtype=bool)
+            u = (r[:, None] - dist[off][None, :]) / h
+            kern = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u) / h, 0.0)
+            dense = (kern / w[off]).sum(axis=1) / (
+                d * ball_volume(d) * p.intensity() ** 2 * r ** (d - 1))
+            dense[r <= h] = np.nan
+            assert np.allclose(estimate_pcf(p, cfg).values, dense,
+                               rtol=1e-12, atol=0.0, equal_nan=True)
+
     def test_point_order_invariance(self):
         p = sample_poisson(WIN, 2.0, cfg=SimConfig(seed=34))
         perm = np.random.default_rng(0).permutation(len(p))
