@@ -1,15 +1,15 @@
 """Exact first- and second-order characteristics of the thinned models.
 
 Closed forms are used where the registry provides them; everything else is
-adaptive (Gauss-Kronrod) quadrature for radial tail integrals and a
-panelized Gauss-Legendre scheme for the d-dimensional radial
-self-convolution.  Integration intervals are always split at the
-interaction's declared jump/kink radii; panel endpoints additionally
-receive a sin-substitution that removes the square-root endpoint behavior
-the spherical geometry introduces, so indicator interactions integrate to
-near machine accuracy.  The weight integrals of the mat2 variant use one
-Gauss-Legendre rule per weight distribution, split at the support ends of
-every weight distribution of the model, where the weight cdfs have kinks.
+adaptive (Gauss-Kronrod) quadrature for radial tail integrals and
+Gauss-Legendre panels split at the interaction's declared jump/kink radii.
+The panels of the d-dimensional radial self-convolution are sin-mapped,
+which removes the square-root endpoint behavior of the spherical geometry,
+so indicator interactions integrate to near machine accuracy.  The weight
+integrals of the mat2 variant split at the support ends of every weight
+distribution of the model, where the weight cdfs have kinks.  K and L
+integrate the pair correlation on panels that end at every output radius
+and at every jump of g.
 
 Every characteristic is lam times a lam-free integral of f in the
 exponent of a retention factor, so one ``ModelKernel`` per model holds
@@ -79,13 +79,11 @@ def _gl_tail(K: int) -> np.ndarray:
 
 
 def _refine(bounds: np.ndarray, splits: int) -> np.ndarray:
-    """Subdivide each panel of a 1-D bounds vector into `splits` pieces."""
-    if splits <= 1:
-        return bounds
-    lo = bounds[:-1]
-    steps = np.linspace(0.0, 1.0, splits + 1)[None, :]
-    fine = lo[:, None] + np.diff(bounds)[:, None] * steps
-    return np.append(fine[:, :-1].ravel(), bounds[-1])
+    """Subdivide each panel of bounds (..., P+1) into `splits` pieces."""
+    steps = np.linspace(0.0, 1.0, splits + 1)
+    fine = bounds[..., :-1, None] + np.diff(bounds)[..., None] * steps
+    return np.concatenate([fine[..., :-1].reshape(*bounds.shape[:-1], -1),
+                           bounds[..., -1:]], axis=-1)
 
 
 def _panelize(bounds: np.ndarray):
@@ -212,12 +210,7 @@ def radial_self_convolution(f1, f2, d: int, r: float,
          np.clip(tb[None, :], a[:, None], b[:, None]),
          b[:, None]], axis=1)
     inner_bounds.sort(axis=1)
-    lo_b = inner_bounds[:, :-1]
-    steps = np.linspace(0.0, 1.0, 3)[None, None, :]
-    fine = lo_b[..., None] + np.diff(inner_bounds, axis=1)[..., None] * steps
-    inner_bounds = np.concatenate(
-        [fine[..., :-1].reshape(len(a), -1), inner_bounds[:, -1:]], axis=1)
-    t_nodes, t_weights = _panelize(inner_bounds)     # (S, P2, K)
+    t_nodes, t_weights = _panelize(_refine(inner_bounds, 2))   # (S, P2, K)
     g2 = s2(t_nodes)
     if d == 2:
         radicand = ((t_nodes ** 2 - a[:, None, None] ** 2)
@@ -333,6 +326,12 @@ class ModelKernel:
     def _slices(self):
         return [[self.spec.f.slice(m, l) for l in self.nodes]
                 for m in self.nodes]
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        """The jump/kink radii of f over all mark-node pairs, sorted."""
+        return np.unique([b for row in self._slices for sl in row
+                          for b in sl.breakpoints])
 
     def _conv_tensor(self, r: float) -> np.ndarray:
         """conv[i, j, k] = [f(., m_i, l_k) (*) f(., m_j, l_k)](r)."""
@@ -493,7 +492,9 @@ class ModelKernel:
         S = later[..., None] + g @ _gl_tail(g.shape[-1]).T
         out = []
         for ri in r:
-            q_ij = np.exp(lam * self.weight_kernel(F, self._conv_tensor(ri)))
+            q_ij = self.weight_kernel(F, self._conv_tensor(ri))
+            q_ij *= lam
+            np.exp(q_ij, out=q_ij)
             H = np.einsum("ipk,ijpk,jpk->ij", g, q_ij, S)
             out.append(H + H.T)
         return np.array(out)
@@ -578,41 +579,46 @@ pcf_mat1 = pcf_marked = pcf_mat2 = pcf
 # derived summary curves
 # ---------------------------------------------------------------------------
 
-def k_function(spec: ModelSpec, r_grid: np.ndarray, refine: int = 8) -> np.ndarray:
-    """K(r) = int_0^r g(s) d b_d s^(d-1) ds on r_grid (cumulative trapezoid).
+# GL nodes per K panel: 6 hold the hard-core K to 2e-6 relative (4: 1.4e-5)
+_K_NODES = 6
+_k_x, _k_w = np.polynomial.legendre.leggauss(_K_NODES)
 
-    For the unmarked model the fine grid also holds each jump/kink radius
-    b of f and the next float above b, so that no trapezoid panel spans
-    the jump of g at b.
+
+def k_function(spec: ModelSpec, r_grid: np.ndarray) -> np.ndarray:
+    """K(r) = int_0^r g(s) d b_d s^(d-1) ds on r_grid.
+
+    Panels end at 0, at every grid radius and at every jump/kink radius of
+    f over the mark-node pairs, which hold all the jumps of g.  Each panel
+    gets a _K_NODES-node Gauss-Legendre rule; K is their cumulative sum.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    parts = [np.linspace(1e-9, r_grid[-1], refine * len(r_grid)), r_grid]
-    if spec.variant == "mat1":
-        b = np.array([x for x in spec.f.slice().breakpoints
-                      if 0.0 < x < r_grid[-1]])
-        parts += [b, np.nextafter(b, np.inf)]
-    fine = np.unique(np.concatenate(parts))
-    g = np.atleast_1d(pcf(spec, fine))
+    kernel = ModelKernel(spec)
+    b = kernel.breakpoints
+    edges = np.unique(np.concatenate([[0.0], r_grid, b[b < r_grid.max()]]))
+    half = 0.5 * np.diff(edges)[:, None]
+    s = edges[:-1, None] + half * (1.0 + _k_x)
     d = spec.dim
-    integrand = g * d * ball_volume(d) * fine ** (d - 1)
-    K_fine = integrate.cumulative_trapezoid(integrand, fine, initial=0.0)
-    return np.interp(r_grid, fine, K_fine)
+    g = kernel.pcf(spec.lam, s.ravel()).reshape(s.shape)
+    panels = (g * s ** (d - 1) * half) @ _k_w
+    K = d * ball_volume(d) * np.concatenate([[0.0], np.cumsum(panels)])
+    return K[np.searchsorted(edges, r_grid)]
 
 
-def l_function(spec: ModelSpec, r_grid: np.ndarray, refine: int = 8) -> np.ndarray:
-    """L(r) = (K(r) / b_d)^(1/d); L(r) = r under complete spatial randomness."""
-    K = k_function(spec, r_grid, refine)
+def l_function(spec: ModelSpec, r_grid: np.ndarray) -> np.ndarray:
+    """L(r) = (K(r) / b_d)^(1/d), K from ``k_function``; r under CSR."""
+    K = k_function(spec, r_grid)
     return (K / ball_volume(spec.dim)) ** (1.0 / spec.dim)
 
 
 def retained_mark_density(spec: ModelSpec, mark_grid: np.ndarray) -> np.ndarray:
-    """Density of the mark of a typical retained point of a mat2 model.
+    """Density of the mark of a typical retained point of a marked model.
 
-    Proportional to E_nu_m[q_m(w)] times the mark density, normalized on
-    the grid by trapezoid.
+    Proportional to the retention of mark m (exp(-lam C_m) for
+    mat1-marked, E_nu_m[q_m(w)] for mat2) times the mark density,
+    normalized on the grid by trapezoid.
     """
-    if spec.variant != "mat2":
-        raise ValueError("retained_mark_density requires a mat2 model")
+    if not spec.marked:
+        raise ValueError("retained_mark_density requires a marked model")
     if spec.mu.is_discrete:
         raise ValueError("retained mark density needs a continuous mark "
                          "distribution")

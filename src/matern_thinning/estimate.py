@@ -44,7 +44,7 @@ _PAIR_CHUNK = 4096
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Grid, bandwidth and edge-correction settings for the estimators.
+    """Grid and bandwidth settings for the estimators.
 
     Parameters
     ----------
@@ -59,9 +59,6 @@ class EstimatorConfig:
         border method as well.
     n_points : int
         Number of grid points; the grid is uniform on (0, r_max].
-    edge_correction : {"translation", "border"}
-        Default correction; pair statistics require "translation",
-        G and F require "border".
     f_test_points : int
         Per-axis density of the regular test-point lattice used by the
         empty-space function.
@@ -73,7 +70,6 @@ class EstimatorConfig:
     bandwidth: Union[str, float] = "auto"
     r_max: Optional[float] = None
     n_points: int = 128
-    edge_correction: str = "translation"
     f_test_points: int = 32
     intensity: Optional[float] = None
 
@@ -84,8 +80,6 @@ class EstimatorConfig:
             raise ValueError("r_max must be > 0")
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
-        if self.edge_correction not in ("translation", "border"):
-            raise ValueError("edge_correction must be 'translation' or 'border'")
         if self.f_test_points < 2:
             raise ValueError("f_test_points must be >= 2")
         if self.intensity is not None and self.intensity <= 0:

@@ -51,8 +51,8 @@ __all__ = ["FreeParameter", "FitProblem", "FitResult",
 # intensity-constraint root solve
 # ---------------------------------------------------------------------------
 
-def _profile_roots(profile: Callable[[float], float], target: float,
-                   lam_hi: float = None) -> Tuple[list, float]:
+def _profile_roots(profile: Callable[[float], float],
+                   target: float) -> Tuple[list, float]:
     """All roots of profile(lam) = target, plus the observed supremum.
 
     Dense log-grid bracketing followed by brentq polishing; the upper
@@ -62,11 +62,11 @@ def _profile_roots(profile: Callable[[float], float], target: float,
     if target <= 0:
         raise ValueError("target intensity must be > 0")
     lo = target * 1e-3
-    hi = lam_hi if lam_hi is not None else target * 1e4
+    hi = target * 1e4
     for _ in range(40):
         grid = np.geomspace(lo, hi, 400)
         vals = np.asarray(profile(grid), dtype=float)
-        if lam_hi is not None or vals[-1] < target or vals[-1] < vals.max():
+        if vals[-1] < target or vals[-1] < vals.max():
             break
         hi *= 100.0
     h = vals - target
@@ -84,8 +84,7 @@ def _profile_roots(profile: Callable[[float], float], target: float,
 
 
 def solve_lambda_constraint(target: float, build: Callable[[Mapping], ModelSpec],
-                            fixed_params: Mapping = None,
-                            lam_max: float = None) -> list:
+                            fixed_params: Mapping = None) -> list:
     """Base intensities lam solving lam_th(lam; fixed_params) = target.
 
     `build` maps a parameter dict (including key "lam") to a ModelSpec.
@@ -95,7 +94,7 @@ def solve_lambda_constraint(target: float, build: Callable[[Mapping], ModelSpec]
     """
     kernel = ModelKernel(build({**(fixed_params or {}), "lam": 1.0}))
     try:
-        roots, _ = _profile_roots(kernel.intensity, target, lam_max)
+        roots, _ = _profile_roots(kernel.intensity, target)
     except DivergentModelError:
         return []
     return roots
@@ -484,8 +483,8 @@ def radius_pdf_after_thinning(model: ModelSpec,
     """
     if not model.marked:
         raise ValueError("radius_pdf_after_thinning requires a marked model")
-    ker = ModelKernel(model)
     if model.mu.is_discrete:
+        ker = ModelKernel(model)
         masses = ker.retention(model.lam) * ker.weights
         masses /= masses.sum()
         order = np.argsort(ker.nodes)
@@ -495,7 +494,6 @@ def radius_pdf_after_thinning(model: ModelSpec,
     if mark_grid is None:
         mark_grid = np.linspace(lo, hi, 200)
     mark_grid = np.asarray(mark_grid, dtype=float)
-    dens = ker.retention(model.lam, mark_grid) * model.mu.pdf(mark_grid)
     return SummaryTable("mark-density", mark_grid,
-                        dens / np.trapezoid(dens, mark_grid),
+                        analytic.retained_mark_density(model, mark_grid),
                         provenance="analytic")

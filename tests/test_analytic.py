@@ -334,8 +334,7 @@ class TestDerivedCurves:
         assert np.allclose(K, 0.0, atol=1e-10)   # no pairs inside the core
 
         # beyond the core, K(r) = int_1^r exp(0.3 lens(s)) 2 pi s ds: the
-        # jump of g at R = 1 must not leak into the trapezoid; refine=64
-        # makes the smooth-part trapezoid error (O(h^2)) negligible
+        # jump of g at R = 1 must not leak into the quadrature
         def lens_integral(r):
             val, _ = integrate.quad(
                 lambda s: math.exp(0.3 * lens_area(1.0, s)) * 2 * math.pi * s,
@@ -343,9 +342,26 @@ class TestDerivedCurves:
             return val + math.pi * max(r * r - 4.0, 0.0)
 
         r = np.array([1.2, 2.0, 3.0])
-        K = k_function(spec, np.array([0.5, 0.999, *r]), refine=64)
+        K = k_function(spec, np.array([0.5, 0.999, *r]))
         assert np.allclose(K[2:], [lens_integral(x) for x in r],
                            rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("variant", ["mat1-marked", "mat2"])
+    def test_marked_K_against_quadrature(self, variant):
+        # g jumps at every mark sum 0.2, 0.35 and 0.5, off the output grid
+        spec = ModelSpec(variant, 1.0, 1.0, make_interaction("marksum_hardcore"),
+                         2, mu=MarkDistribution.finite_discrete([0.1, 0.25],
+                                                                [0.5, 0.5]),
+                         nu=WeightDistribution.uniform())
+        grid = np.linspace(0.0, 1.0, 21)[1:]
+        K = k_function(spec, grid)
+        for r in (0.25, 0.4, 0.6, 1.0):
+            edges = [0.0, *(b for b in (0.2, 0.35, 0.5) if b < r), r]
+            ref = sum(integrate.quad(
+                lambda s: pcf(spec, s) * 2 * math.pi * s, lo, hi,
+                epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+            assert K[np.argmin(np.abs(grid - r))] == pytest.approx(ref, rel=1e-7)
 
     def test_retained_mark_density_normalized_and_shifted(self):
         mu = MarkDistribution.truncated_gamma(2.0, 0.05, quadrature_nodes=16)

@@ -190,8 +190,6 @@ class TestConfigAndEdgeCases:
         with pytest.raises(ValueError):
             EstimatorConfig(n_points=1)
         with pytest.raises(ValueError):
-            EstimatorConfig(edge_correction="isotropic")
-        with pytest.raises(ValueError):
             EstimatorConfig(intensity=0.0)
 
     def test_small_patterns(self):
