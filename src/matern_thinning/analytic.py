@@ -3,9 +3,9 @@
 Closed forms are used where the registry provides them; everything else is
 adaptive (Gauss-Kronrod) quadrature for radial tail integrals and
 Gauss-Legendre panels split at the interaction's declared jump/kink radii.
-The panels of the d-dimensional radial self-convolution are sin-mapped,
-which removes the square-root endpoint behavior of the spherical geometry,
-so indicator interactions integrate to near machine accuracy.  The weight
+Indicators c 1_[0,rho] convolve in closed form (``ball_intersection``);
+other radial self-convolutions use sin-mapped panels, which remove the
+square-root endpoint behavior of the spherical geometry.  The weight
 integrals of the mat2 variant split at the support ends of every weight
 distribution of the model, where the weight cdfs have kinks.  K and L
 integrate the pair correlation on panels that end at every output radius
@@ -38,7 +38,7 @@ __all__ = [
     "tail_integral", "space_integral", "radial_self_convolution",
     "intensity", "intensity_report", "intensity_mat1", "intensity_marked",
     "intensity_mat2", "pcf", "pcf_mat1", "pcf_marked", "pcf_mat2",
-    "competition_integral", "l_function", "k_function",
+    "competition_integral", "l_function", "k_function", "ball_intersection",
     "retained_mark_density", "intensity_profile", "ModelKernel",
     "IntensityResult", "DivergentModelError",
 ]
@@ -163,13 +163,32 @@ def _conv_1d(s1: RadialSlice, s2: RadialSlice, r: float) -> float:
     return float(np.sum(vals * weights))
 
 
-def radial_self_convolution(f1, f2, d: int, r: float,
-                            m=None, n=None) -> float:
+def ball_intersection(a, b, r, d: int):
+    """Volume of the intersection of two d-balls (d = 1, 2, 3) of radii a
+    and b whose centres are r apart; broadcasts over a, b and r."""
+    a, b, r = (np.asarray(x, dtype=float) for x in (a, b, r))
+    u, diff = a + b - r, (a - b) * (a + b)
+    part = u  # d = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 2:  # lens a^2 alpha + b^2 beta - K/2, K/4 = Heron's area
+            K = np.sqrt(u * (r + a - b) * (r - a + b) * (r + a + b))
+            part = (a * a * np.arctan2(K, r * r + diff)
+                    + b * b * np.arctan2(K, r * r - diff) - 0.5 * K)
+        elif d == 3:
+            part = (np.pi * u * u * (r * r + 2.0 * r * (a + b)
+                                     - 3.0 * (a - b) ** 2) / (12.0 * r))
+    nested = ball_volume(d) * np.minimum(a, b) ** d
+    return np.where(u <= 0.0, 0.0, np.where(r <= np.abs(a - b), nested, part))
+
+
+def radial_self_convolution(f1, f2, d: int, r: float, m=None, n=None,
+                            method: str = "auto") -> float:
     """d-dimensional radial convolution [f1 (*) f2](r).
 
     f1 and f2 are unmarked InteractionFunctions or RadialSlices (use
     ``f.slice(m, l)`` for marked interactions).  Returns 0 for
-    r > cutoff(f1) + cutoff(f2).
+    r > cutoff(f1) + cutoff(f2).  method "auto" uses the ball-intersection
+    closed form when both are indicators; "quad" forces the quadrature.
     """
     s1 = _as_slice(f1, m, n)
     s2 = _as_slice(f2, m, n)
@@ -180,6 +199,9 @@ def radial_self_convolution(f1, f2, d: int, r: float,
     r = float(r)
     if r < 0:
         raise ValueError("r must be >= 0")
+    if method == "auto" and s1.indicator and s2.indicator:
+        (k1, rho1), (k2, rho2) = s1.indicator, s2.indicator
+        return k1 * k2 * float(ball_intersection(rho1, rho2, r, d))
     if r >= c1 + c2:
         return 0.0
     if r <= 1e-12 * (c1 + c2):
@@ -333,24 +355,33 @@ class ModelKernel:
         return np.unique([b for row in self._slices for sl in row
                           for b in sl.breakpoints])
 
-    def _conv_tensor(self, r: float) -> np.ndarray:
-        """conv[i, j, k] = [f(., m_i, l_k) (*) f(., m_j, l_k)](r)."""
-        M = len(self.nodes)
+    def _conv_tensor(self, r) -> np.ndarray:
+        """conv[..., i, j, k] = [f(., m_i, l_k) (*) f(., m_j, l_k)](r) for r of
+        shape (...): closed form for an indicator f, else entry by entry."""
+        r, M = np.asarray(r, dtype=float), len(self.nodes)
+        ind = self.spec.f.indicator(self.nodes[:, None], self.nodes)
+        if ind is not None:
+            c, rho = (np.broadcast_to(x, (M, M)) for x in ind)
+            return c[:, None] * c * ball_intersection(
+                rho[:, None], rho, r[..., None, None, None], self.d)
         sl = self._slices
-        out = np.empty((M, M, M))
+        out = np.empty(r.shape + (M, M, M))
         for i in range(M):
             for j in range(i, M):
                 for k in range(M):
-                    out[i, j, k] = out[j, i, k] = radial_self_convolution(
-                        sl[i][k], sl[j][k], self.d, r)
+                    out[..., i, j, k] = out[..., j, i, k] = np.reshape(
+                        [radial_self_convolution(sl[i][k], sl[j][k], self.d, x)
+                         for x in r.flat], r.shape)
         return out
 
     def _conv(self, r: np.ndarray) -> np.ndarray:
-        """log q_{m_i, m_j}(r) / lam for each radius, shape (R, M, M)."""
+        """log q_{m_i, m_j}(r) / lam per radius, (R, M, M), in ~2^18 blocks."""
         key = r.tobytes()
         if key not in self._convs:
-            self._convs[key] = np.array([self._conv_tensor(ri) @ self.weights
-                                         for ri in r])
+            step = max(1, 2 ** 18 // len(self.nodes) ** 3)
+            self._convs[key] = np.concatenate([
+                self._conv_tensor(r[i:i + step]) @ self.weights
+                for i in range(0, len(r), step)])
         return self._convs[key]
 
     @cached_property

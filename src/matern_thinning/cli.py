@@ -154,11 +154,8 @@ def _cmd_analytic(args):
     else:
         r_max = _default_rmax(args, spec=spec)
         r = np.linspace(0.0, r_max, args.grid + 1)[1:]
-        try:
-            vals = (np.atleast_1d(analytic.pcf(spec, r)) if args.stat == "pcf"
-                    else analytic.l_function(spec, r))
-        except DivergentModelError as exc:
-            raise NumericFailure(str(exc)) from exc
+        vals = (np.atleast_1d(analytic.pcf(spec, r)) if args.stat == "pcf"
+                else analytic.l_function(spec, r))
         table = SummaryTable(args.stat, r, vals, provenance="analytic")
     write_summary_table(table, args.out,
                         meta={"model": args.model, "seed": args.seed})

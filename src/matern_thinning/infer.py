@@ -210,7 +210,8 @@ def fit_min_contrast(problem: FitProblem, seed: int = 0, restarts: int = 5,
     contrast domain.  Nelder-Mead runs from `restarts` Latin-hypercube
     starting points; the best final point wins.  Non-convergence within
     the restart budget is reported in the result, with the best point so
-    far returned.
+    far returned.  A point scores 1e9 when `build` rejects it (ValueError)
+    or the model diverges; any other error propagates.
     """
     if problem.intensity_target is not None:
         lam_hat = problem.intensity_target
@@ -251,16 +252,18 @@ def fit_min_contrast(problem: FitProblem, seed: int = 0, restarts: int = 5,
         nonlocal n_eval
         n_eval += 1
         params = {fp.name: fp.from_internal(xi) for fp, xi in zip(free, x)}
+        roots = [params.pop("lam", 1.0)]    # lam is free only without matching
+        try:
+            spec = problem.build({**params, "lam": roots[0]})
+        except ValueError:      # the parameters leave the family's domain
+            return 1e9
         try:
             # one kernel serves the root solve and the pcf at every root
+            kernel = ModelKernel(spec)
             if problem.constraint == "intensity-match":
-                kernel = ModelKernel(problem.build({**params, "lam": 1.0}))
                 roots, sup = _profile_roots(kernel.intensity, lam_hat)
                 if not roots:
                     return 1e6 * (1.0 + max(0.0, (lam_hat - sup) / lam_hat))
-            else:
-                roots = [params.pop("lam")]
-                kernel = ModelKernel(problem.build({**params, "lam": roots[0]}))
             best = math.inf
             for lam in roots:
                 g = kernel.pcf(lam, r)
@@ -272,7 +275,7 @@ def fit_min_contrast(problem: FitProblem, seed: int = 0, restarts: int = 5,
                     best = delta
                     best_lam_for[tuple(x)] = lam
             return best if math.isfinite(best) else 1e9
-        except (DivergentModelError, ValueError):
+        except DivergentModelError:
             return 1e9
 
     if not free:

@@ -39,6 +39,7 @@ class RadialSlice:
     func: Callable[[np.ndarray], np.ndarray]
     cutoff: float
     breakpoints: tuple = ()
+    indicator: Optional[tuple] = None      # (c, rho) when func = c 1_[0,rho]
 
     def __call__(self, r):
         return self.func(np.asarray(r, dtype=float))
@@ -55,6 +56,7 @@ class InteractionFunction:
     _cutoff: Callable = field(repr=False)          # (m, n) -> float, may be inf
     _breakpoints: Callable = field(repr=False)     # (m, n) -> tuple
     _closed_tail: Optional[Callable] = field(default=None, repr=False)
+    _indicator: Optional[Callable] = field(default=None, repr=False)
 
     def __call__(self, r, m=None, n=None):
         r = np.asarray(r, dtype=float)
@@ -80,9 +82,14 @@ class InteractionFunction:
 
     def closed_tail_integral(self, d: int, m=None, n=None) -> Optional[float]:
         """Analytic value of int_0^inf f(r) r^(d-1) dr, when known."""
-        if self._closed_tail is None:
-            return None
-        return self._closed_tail(d, m, n)
+        if self._indicator is not None:
+            c, rho = self._indicator(m, n)
+            return c * rho ** d / d
+        return self._closed_tail and self._closed_tail(d, m, n)
+
+    def indicator(self, m=None, n=None) -> Optional[tuple]:
+        """(c, rho) with f = c 1_[0, rho(m, n)]; marks may be arrays."""
+        return self._indicator and self._indicator(m, n)
 
     def slice(self, m=None, n=None) -> RadialSlice:
         """The radial function r -> f(r, m, n) with marks frozen."""
@@ -91,9 +98,10 @@ class InteractionFunction:
                 raise ValueError(f"interaction {self.id!r} requires marks")
             mm, nn = float(m), float(n)
             return RadialSlice(lambda r: self._func(np.asarray(r, float), mm, nn),
-                               self._cutoff(mm, nn), self._breakpoints(mm, nn))
+                               self._cutoff(mm, nn), self._breakpoints(mm, nn),
+                               self.indicator(mm, nn))
         return RadialSlice(self._func, self._cutoff(None, None),
-                           self._breakpoints(None, None))
+                           self._breakpoints(None, None), self.indicator())
 
 
 def _find_cutoff(func, threshold=CUTOFF_THRESHOLD, r_max=2.0 ** 34):
@@ -133,7 +141,7 @@ def _make_hardcore(R):
         lambda r: (r <= R).astype(float),
         lambda m, n: R,
         lambda m, n: (R,),
-        lambda d, m, n: R ** d / d,
+        _indicator=lambda m, n: (1.0, R),
     )
 
 
@@ -147,7 +155,7 @@ def _make_strauss(f0, R):
         lambda r: f0 * (r <= R),
         lambda m, n: R,
         lambda m, n: (R,),
-        lambda d, m, n: f0 * R ** d / d,
+        _indicator=lambda m, n: (f0, R),
     )
 
 
@@ -160,7 +168,7 @@ def _make_example1(a, R):
         hc = _make_hardcore(R)
         return InteractionFunction("example1", {"a": a, "R": R}, False,
                                    hc._func, hc._cutoff, hc._breakpoints,
-                                   hc._closed_tail)
+                                   _indicator=hc._indicator)
     s2 = R ** 2 - a ** 2
 
     def f(r):
@@ -226,7 +234,7 @@ def _make_marksum_hardcore():
         lambda r, m, n: (r <= m + n).astype(float),
         lambda m, n: float(m) + float(n),
         lambda m, n: (float(m) + float(n),),
-        lambda d, m, n: (float(m) + float(n)) ** d / d,
+        _indicator=lambda m, n: (1.0, m + n),
     )
 
 

@@ -1,15 +1,17 @@
 """Exact characteristics: quadrature oracles and structural identities."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from matern_thinning import MarkDistribution, ModelSpec, WeightDistribution, \
-    make_interaction
+from matern_thinning import InteractionFunction, MarkDistribution, ModelSpec, \
+    WeightDistribution, analytic, ball_volume, make_interaction
 from matern_thinning.analytic import (DivergentModelError, ModelKernel,
-                                      competition_integral,
+                                      ball_intersection, competition_integral,
                                       intensity, intensity_mat2,
                                       intensity_profile, intensity_report,
                                       k_function, l_function, pcf, pcf_mat1,
@@ -45,23 +47,30 @@ def two_atom_spec(quadrature_nodes=64):
 
 
 class TestRadialSelfConvolution:
+    # "auto" takes the ball-intersection closed form, "quad" the quadrature
     def test_indicator_d2_equals_lens_area(self):
         hc = make_interaction("hardcore", R=1.0).slice()
         for r in (0.0, 0.3, 1.0, 1.7, 2.5):
-            assert radial_self_convolution(hc, hc, 2, r) == pytest.approx(
-                lens_area(1.0, r), rel=1e-8, abs=1e-10)
+            for method in ("auto", "quad"):
+                assert radial_self_convolution(
+                    hc, hc, 2, r, method=method) == pytest.approx(
+                        lens_area(1.0, r), rel=1e-8, abs=1e-10)
 
     def test_indicator_d3_equals_sphere_overlap(self):
         hc = make_interaction("hardcore", R=0.7).slice()
         for r in (0.0, 0.2, 0.7, 1.1, 1.5):
-            assert radial_self_convolution(hc, hc, 3, r) == pytest.approx(
-                sphere_overlap(0.7, r), abs=1e-11)
+            for method in ("auto", "quad"):
+                assert radial_self_convolution(
+                    hc, hc, 3, r, method=method) == pytest.approx(
+                        sphere_overlap(0.7, r), abs=1e-11)
 
     def test_indicator_d1_equals_interval_overlap(self):
         hc = make_interaction("hardcore", R=1.0).slice()
         for r in (0.0, 0.5, 1.3, 2.1):
-            assert radial_self_convolution(hc, hc, 1, r) == pytest.approx(
-                max(0.0, 2.0 - r), abs=1e-12)
+            for method in ("auto", "quad"):
+                assert radial_self_convolution(
+                    hc, hc, 1, r, method=method) == pytest.approx(
+                        max(0.0, 2.0 - r), abs=1e-12)
 
     # values frozen from an independent Cartesian double quadrature
     SMOOTH_ORACLE = {
@@ -99,6 +108,160 @@ class TestRadialSelfConvolution:
         c = make_interaction("constant", p=0.5).slice()
         with pytest.raises(DivergentModelError):
             radial_self_convolution(c, c, 2, 1.0)
+
+
+def ball_intersection_mp(a, b, r, d):
+    """Intersection volume of two d-balls at 40 digits, from the float
+    inputs taken exactly."""
+    with mpmath.workdps(40):
+        a, b, r = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(r)
+        if r >= a + b:
+            return 0.0
+        lo = min(a, b)
+        if r <= abs(a - b):
+            return float({1: 2 * lo, 2: mpmath.pi * lo ** 2,
+                          3: 4 * mpmath.pi / 3 * lo ** 3}[d])
+        if d == 1:
+            return float(a + b - r)
+        if d == 3:
+            return float(mpmath.pi * (a + b - r) ** 2
+                         * (r * r + 2 * r * (a + b) - 3 * (a - b) ** 2)
+                         / (12 * r))
+        alpha = mpmath.acos((r * r + a * a - b * b) / (2 * r * a))
+        beta = mpmath.acos((r * r + b * b - a * a) / (2 * r * b))
+        heron = mpmath.sqrt((a + b - r) * (r + a - b) * (r - a + b)
+                            * (r + a + b))
+        return float(a * a * alpha + b * b * beta - heron / 2)
+
+
+class TestBallIntersection:
+    RADII = ((0.5, 0.5), (0.3, 0.8), (1.0, 0.25))
+
+    @classmethod
+    def cases(cls, tangent):
+        """(a, b, r): r = 0, nested, partly overlapping and disjoint, or
+        within 1e-9 of either tangency."""
+        for a, b in cls.RADII:
+            s, t = a + b, abs(a - b)
+            rs = ([t - 1e-9, t + 1e-9, s - 1e-9, s + 1e-9] if tangent else
+                  [0.0, 0.5 * t, t, 0.5 * (s + t), 0.2 * t + 0.8 * s, s, 2 * s])
+            yield from ((a, b, r) for r in rs if r >= 0.0)
+
+    @staticmethod
+    def tolerance(a, b, d, rel):
+        # near outer tangency the volume is a small difference: its
+        # absolute error is a rounding error of the ball volume
+        return dict(rel=rel, abs=1e-14 * ball_volume(d) * max(a, b) ** d)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_equals_quadrature(self, d):
+        # at 0 < r < 1e-6 the quadrature itself is off (2.4e-8 relative at
+        # r = 1e-9 in d = 3); test_equals_mpmath covers that tangency
+        for tangent in (False, True):
+            for a, b, r in self.cases(tangent):
+                if 0.0 < r < 1e-6:
+                    continue
+                s1 = make_interaction("hardcore", R=a).slice()
+                s2 = make_interaction("hardcore", R=b).slice()
+                quad = radial_self_convolution(s1, s2, d, r, method="quad")
+                tol = (self.tolerance(a, b, d, 1e-14) if tangent
+                       else dict(rel=1e-14, abs=0.0))
+                assert ball_intersection(a, b, r, d) == pytest.approx(quad, **tol)
+                assert radial_self_convolution(s1, s2, d, r) == \
+                    ball_intersection(a, b, r, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_mpmath(self, d):
+        for tangent in (False, True):
+            for a, b, r in self.cases(tangent):
+                assert ball_intersection(a, b, r, d) == pytest.approx(
+                    ball_intersection_mp(a, b, r, d),
+                    **self.tolerance(a, b, d, 1e-12))
+
+    def test_broadcasts_over_arrays(self):
+        a = np.array([0.5, 0.3, 1.0])[:, None]
+        r = np.linspace(0.0, 1.5, 7)
+        vol = ball_intersection(a, 0.8, r, 2)
+        assert vol.shape == (3, 7)
+        assert vol == pytest.approx(np.array(
+            [[ball_intersection_mp(ai, 0.8, ri, 2) for ri in r]
+             for ai in a[:, 0]]), rel=1e-12, abs=1e-15)
+
+    def test_strauss_scales_by_both_heights(self):
+        s1 = make_interaction("strauss", f0=0.3, R=0.5)
+        s2 = make_interaction("strauss", f0=0.6, R=0.8)
+        hc = make_interaction("hardcore", R=0.8)
+        for d in (1, 2, 3):
+            for r in (0.0, 0.2, 0.9, 1.2):
+                vol = ball_intersection(0.5, 0.8, r, d)
+                assert radial_self_convolution(s1, s2, d, r) == pytest.approx(
+                    0.18 * vol, rel=1e-15)
+                assert radial_self_convolution(s1, hc, d, r) == pytest.approx(
+                    0.3 * vol, rel=1e-15)
+                assert radial_self_convolution(
+                    s1, s2, d, r, method="quad") == pytest.approx(
+                        0.18 * vol, rel=1e-8)
+
+
+class TestIndicatorRouting:
+    """Kernels of indicator interactions build the conv tensor in closed
+    form and never reach the scalar quadrature."""
+
+    @staticmethod
+    def no_quadrature(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar radial convolution called")
+        monkeypatch.setattr(analytic, "radial_self_convolution", refuse)
+
+    @staticmethod
+    def forced_quadrature(monkeypatch):
+        # no interaction declares itself an indicator
+        monkeypatch.setattr(InteractionFunction, "indicator",
+                            lambda self, m=None, n=None: None)
+
+    @staticmethod
+    def marksum(variant, nodes):
+        mu = MarkDistribution.uniform(0.0, 0.25, quadrature_nodes=nodes)
+        return ModelSpec(variant, 1.0, 1.0, make_interaction("marksum_hardcore"),
+                         2, mu=mu, nu=WeightDistribution.uniform())
+
+    def both_paths(self, monkeypatch, evaluate):
+        with monkeypatch.context() as patch:
+            self.no_quadrature(patch)
+            closed = evaluate()
+        with monkeypatch.context() as patch:
+            self.forced_quadrature(patch)
+            quad = evaluate()
+        assert not np.array_equal(closed, quad)     # two independent paths
+        return closed, quad
+
+    def test_hardcore_L(self, monkeypatch):
+        spec = ModelSpec("mat1", 10.0, 1.0, make_interaction("hardcore", R=0.2), 2)
+        r = np.linspace(0.025, 0.8, 32)
+        closed, quad = self.both_paths(monkeypatch, lambda: l_function(spec, r))
+        assert closed == pytest.approx(quad, rel=1e-8)
+
+    @pytest.mark.parametrize("variant, method", [
+        ("mat1-marked", "auto"), ("mat2", "closed"), ("mat2", "direct")])
+    def test_marksum_pcf(self, monkeypatch, variant, method):
+        spec = two_atom_spec() if method == "direct" else self.marksum(variant, 8)
+        r = np.linspace(0.05, 0.75, 8)
+        closed, quad = self.both_paths(monkeypatch,
+                                       lambda: pcf(spec, r, method=method))
+        assert closed == pytest.approx(quad, rel=1e-8)
+
+    def test_default_mark_nodes_bounded_memory(self, monkeypatch):
+        self.no_quadrature(monkeypatch)
+        spec = self.marksum("mat2", 64)
+        assert len(spec.mu.quadrature()[0]) == 64
+        tracemalloc.start()
+        try:
+            g = pcf(spec, np.linspace(0.005, 0.75, 128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(g)) and g[-1] == pytest.approx(1.0, abs=1e-3)
+        assert peak < 100 * 2 ** 20
 
 
 class TestIntensity:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from matern_thinning import (DeviationTestSpec, FitProblem, FreeParameter,
-                             MarkDistribution, ModelSpec, PointPattern,
-                             SimConfig, WeightDistribution, Window,
+                             InteractionFunction, MarkDistribution, ModelSpec,
+                             PointPattern, SimConfig, WeightDistribution, Window,
                              deviation_test, fit_min_contrast,
                              make_interaction, simulate_model,
                              solve_lambda_constraint)
@@ -131,6 +131,27 @@ class TestMinContrastFit:
         assert res.converged
         assert res.params["a"] == pytest.approx(0.5, abs=1e-4)
         assert res.constraint_residual < 1e-8
+
+    def test_errors_of_the_model_propagate(self):
+        # 1e9 marks parameters that `build` rejects; an interaction that
+        # raises is broken, and its error must not read as a bad fit
+        def broken(r):
+            raise ValueError("broken interaction")
+
+        f = InteractionFunction("broken", {}, False, broken, lambda m, n: 1.0,
+                                lambda m, n: ())
+
+        def build(p):
+            if p["p0"] > 0.9:
+                raise ValueError("p0 outside the family's domain")
+            return ModelSpec("mat1", p["lam"], p["p0"], f, 2)
+
+        problem = FitProblem(build=build,
+                             free=(FreeParameter("p0", 0.2, 1.0, "linear"),),
+                             pcf_reference=np.ones_like, intensity_target=1.0,
+                             contrast_domain=(0.1, 1.0), grid=16)
+        with pytest.raises(ValueError, match="broken interaction"):
+            fit_min_contrast(problem, restarts=1, maxiter=5)
 
     def test_fit_from_simulated_data_runs(self):
         spec = ModelSpec("mat1", 0.5, 1.0, make_interaction("hardcore", R=0.6), 2)
