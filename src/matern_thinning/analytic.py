@@ -3,8 +3,9 @@
 Closed forms are used where the registry provides them; everything else is
 adaptive (Gauss-Kronrod) quadrature for radial tail integrals and
 Gauss-Legendre panels split at the interaction's declared jump/kink radii.
-Indicators c 1_[0,rho] convolve in closed form (``ball_intersection``);
-other radial self-convolutions use sin-mapped panels, which remove the
+A kernel convolves indicators c 1_[0,rho] in closed form
+(``ball_intersection``); other interactions, and
+``radial_self_convolution``, use sin-mapped panels, which remove the
 square-root endpoint behavior of the spherical geometry.  The weight
 integrals of the mat2 variant split at the support ends of every weight
 distribution of the model, where the weight cdfs have kinks.  K and L
@@ -181,14 +182,13 @@ def ball_intersection(a, b, r, d: int):
     return np.where(u <= 0.0, 0.0, np.where(r <= np.abs(a - b), nested, part))
 
 
-def radial_self_convolution(f1, f2, d: int, r: float, m=None, n=None,
-                            method: str = "auto") -> float:
+def radial_self_convolution(f1, f2, d: int, r: float,
+                            m=None, n=None) -> float:
     """d-dimensional radial convolution [f1 (*) f2](r).
 
     f1 and f2 are unmarked InteractionFunctions or RadialSlices (use
     ``f.slice(m, l)`` for marked interactions).  Returns 0 for
-    r > cutoff(f1) + cutoff(f2).  method "auto" uses the ball-intersection
-    closed form when both are indicators; "quad" forces the quadrature.
+    r > cutoff(f1) + cutoff(f2).
     """
     s1 = _as_slice(f1, m, n)
     s2 = _as_slice(f2, m, n)
@@ -199,9 +199,6 @@ def radial_self_convolution(f1, f2, d: int, r: float, m=None, n=None,
     r = float(r)
     if r < 0:
         raise ValueError("r must be >= 0")
-    if method == "auto" and s1.indicator and s2.indicator:
-        (k1, rho1), (k2, rho2) = s1.indicator, s2.indicator
-        return k1 * k2 * float(ball_intersection(rho1, rho2, r, d))
     if r >= c1 + c2:
         return 0.0
     if r <= 1e-12 * (c1 + c2):

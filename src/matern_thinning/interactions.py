@@ -39,7 +39,6 @@ class RadialSlice:
     func: Callable[[np.ndarray], np.ndarray]
     cutoff: float
     breakpoints: tuple = ()
-    indicator: Optional[tuple] = None      # (c, rho) when func = c 1_[0,rho]
 
     def __call__(self, r):
         return self.func(np.asarray(r, dtype=float))
@@ -98,10 +97,9 @@ class InteractionFunction:
                 raise ValueError(f"interaction {self.id!r} requires marks")
             mm, nn = float(m), float(n)
             return RadialSlice(lambda r: self._func(np.asarray(r, float), mm, nn),
-                               self._cutoff(mm, nn), self._breakpoints(mm, nn),
-                               self.indicator(mm, nn))
+                               self._cutoff(mm, nn), self._breakpoints(mm, nn))
         return RadialSlice(self._func, self._cutoff(None, None),
-                           self._breakpoints(None, None), self.indicator())
+                           self._breakpoints(None, None))
 
 
 def _find_cutoff(func, threshold=CUTOFF_THRESHOLD, r_max=2.0 ** 34):

@@ -47,30 +47,23 @@ def two_atom_spec(quadrature_nodes=64):
 
 
 class TestRadialSelfConvolution:
-    # "auto" takes the ball-intersection closed form, "quad" the quadrature
     def test_indicator_d2_equals_lens_area(self):
         hc = make_interaction("hardcore", R=1.0).slice()
         for r in (0.0, 0.3, 1.0, 1.7, 2.5):
-            for method in ("auto", "quad"):
-                assert radial_self_convolution(
-                    hc, hc, 2, r, method=method) == pytest.approx(
-                        lens_area(1.0, r), rel=1e-8, abs=1e-10)
+            assert radial_self_convolution(hc, hc, 2, r) == pytest.approx(
+                lens_area(1.0, r), rel=1e-8, abs=1e-10)
 
     def test_indicator_d3_equals_sphere_overlap(self):
         hc = make_interaction("hardcore", R=0.7).slice()
         for r in (0.0, 0.2, 0.7, 1.1, 1.5):
-            for method in ("auto", "quad"):
-                assert radial_self_convolution(
-                    hc, hc, 3, r, method=method) == pytest.approx(
-                        sphere_overlap(0.7, r), abs=1e-11)
+            assert radial_self_convolution(hc, hc, 3, r) == pytest.approx(
+                sphere_overlap(0.7, r), abs=1e-11)
 
     def test_indicator_d1_equals_interval_overlap(self):
         hc = make_interaction("hardcore", R=1.0).slice()
         for r in (0.0, 0.5, 1.3, 2.1):
-            for method in ("auto", "quad"):
-                assert radial_self_convolution(
-                    hc, hc, 1, r, method=method) == pytest.approx(
-                        max(0.0, 2.0 - r), abs=1e-12)
+            assert radial_self_convolution(hc, hc, 1, r) == pytest.approx(
+                max(0.0, 2.0 - r), abs=1e-12)
 
     # values frozen from an independent Cartesian double quadrature
     SMOOTH_ORACLE = {
@@ -163,12 +156,10 @@ class TestBallIntersection:
                     continue
                 s1 = make_interaction("hardcore", R=a).slice()
                 s2 = make_interaction("hardcore", R=b).slice()
-                quad = radial_self_convolution(s1, s2, d, r, method="quad")
+                quad = radial_self_convolution(s1, s2, d, r)
                 tol = (self.tolerance(a, b, d, 1e-14) if tangent
                        else dict(rel=1e-14, abs=0.0))
                 assert ball_intersection(a, b, r, d) == pytest.approx(quad, **tol)
-                assert radial_self_convolution(s1, s2, d, r) == \
-                    ball_intersection(a, b, r, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equals_mpmath(self, d):
@@ -190,17 +181,16 @@ class TestBallIntersection:
     def test_strauss_scales_by_both_heights(self):
         s1 = make_interaction("strauss", f0=0.3, R=0.5)
         s2 = make_interaction("strauss", f0=0.6, R=0.8)
-        hc = make_interaction("hardcore", R=0.8)
+        r = np.array([0.0, 0.2, 0.9, 1.2])
         for d in (1, 2, 3):
-            for r in (0.0, 0.2, 0.9, 1.2):
-                vol = ball_intersection(0.5, 0.8, r, d)
-                assert radial_self_convolution(s1, s2, d, r) == pytest.approx(
-                    0.18 * vol, rel=1e-15)
-                assert radial_self_convolution(s1, hc, d, r) == pytest.approx(
-                    0.3 * vol, rel=1e-15)
-                assert radial_self_convolution(
-                    s1, s2, d, r, method="quad") == pytest.approx(
-                        0.18 * vol, rel=1e-8)
+            rel = 1e-8 if d == 2 else 1e-14     # the d = 2 quadrature error
+            for ri in r:
+                assert radial_self_convolution(s1, s2, d, ri) == pytest.approx(
+                    0.18 * ball_intersection(0.5, 0.8, ri, d), rel=rel)
+            # the kernel's closed form carries the same c1 c2 = f0^2
+            conv = ModelKernel(ModelSpec("mat1", 1.0, 1.0, s1, d))._conv_tensor(r)
+            assert conv[:, 0, 0, 0] == pytest.approx(
+                0.09 * ball_intersection(0.5, 0.5, r, d), rel=1e-15, abs=0.0)
 
 
 class TestIndicatorRouting:

@@ -1,16 +1,18 @@
 """Run the benchmark on two checkouts and write the results to a BENCH file.
 
-    python3 tools/write_bench.py --base DIR --out BENCH_6.json [--pairs 10]
+    python3 tools/write_bench.py --base DIR --seed N --out BENCH_6.json
 
 For every workload in ``BENCHMARK.json`` it runs, unmodified,
 
     python3 bench/run.py --workload W --seed N --seconds S --trace 0
 
 once in the checkout DIR (the parent commit, say a ``git clone`` of it) and
-once in this checkout, for `--pairs` seeds, alternating which side runs
-first.  The file holds every run's metrics, each side's median and
-quartiles per metric, how many pairs the change won, the Python, NumPy
-and SciPy versions, the CPU count and each checkout's git SHA.
+once in this checkout, for ten pairs with seeds N to N + 9, alternating
+which side runs first; ten pairs are the fewest that can show a gain.
+Pick seeds no development run used.  The file holds the seeds, every
+run's metrics, each side's median and quartiles per metric, how many
+pairs the change won, the Python, NumPy and SciPy versions, the CPU count
+and each checkout's git SHA.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def git_sha(checkout):
@@ -75,12 +78,9 @@ def main(argv=None):
     parser.add_argument("--base", required=True,
                         help="checkout of the commit to compare against")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1,
+    parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pair i uses seed + i")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -90,11 +90,12 @@ def main(argv=None):
         "python": platform.python_version(), "numpy": numpy.__version__,
         "scipy": scipy.__version__, "cpus": os.cpu_count(),
         "git_sha": {side: git_sha(path) for side, path in checkouts.items()},
+        "seeds": list(range(args.seed, args.seed + PAIRS)),
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {"base": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 run = run_once(checkouts[side], bench["command"], workload,
