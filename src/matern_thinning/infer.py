@@ -24,7 +24,7 @@ Three ingredients:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -383,17 +383,13 @@ def _statistic_curve(pattern: PointPattern, statistic: str,
         if pattern.marks is None:
             raise ValueError("radius-pdf requires a marked pattern")
         return empirical_mark_density(pattern.marks, mark_edges)
-    if statistic == "pcf":
-        if len(pattern) < 2:
-            return np.zeros(cfg.n_points)
-        return estimate_pcf(pattern, cfg).values
     if statistic == "L":
-        if len(pattern) < 2:
-            return np.zeros(cfg.n_points)
         return estimate_L(pattern, cfg).values
+    if statistic in ("pcf", "G") and len(pattern) < 2:
+        return np.zeros(cfg.n_points)      # both estimators raise here
+    if statistic == "pcf":
+        return estimate_pcf(pattern, cfg).values
     if statistic == "G":
-        if len(pattern) < 2:
-            return np.zeros(cfg.n_points)
         return estimate_G(pattern, cfg).values
     return estimate_F(pattern, cfg).values
 
@@ -431,9 +427,7 @@ def deviation_test(data: PointPattern, model: ModelSpec,
         r = resolve_r_grid(data.window, cfg)
     if spec.statistic == "pcf" and cfg.bandwidth == "auto":
         # freeze one common bandwidth so all curves are comparable
-        cfg = EstimatorConfig(bandwidth=resolve_bandwidth(data, cfg),
-                              r_max=spec.r_max, n_points=spec.n_grid,
-                              f_test_points=spec.f_test_points)
+        cfg = replace(cfg, bandwidth=resolve_bandwidth(data, cfg))
 
     s_obs = _statistic_curve(data, spec.statistic, cfg, mark_edges)
     sims = np.empty((spec.k, len(r)))

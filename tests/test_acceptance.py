@@ -33,7 +33,7 @@ from matern_thinning.simulate import sample_poisson
 def test_criterion_01_soft_hard_blend_intensity_independent_of_inner_radius():
     lam, R = 0.5, 1.0
     expected = lam * math.exp(-math.pi * lam * R * R)
-    values = [analytic.intensity_mat1(
+    values = [analytic.intensity(
         ModelSpec("mat1", lam, 1.0, make_interaction("example1", a=a, R=R), 2))
         for a in (0.0, 0.5, 0.75, 1.0)]
     for v in values:
@@ -45,7 +45,7 @@ def test_criterion_02_aggregative_intensity_closed_form():
     lam = 2.0
     expected = lam * math.exp(-math.pi * lam)
     for a in (0.5, 2.0, 8.0):
-        v = analytic.intensity_mat1(
+        v = analytic.intensity(
             ModelSpec("mat1", lam, 1.0, make_interaction("example2", a=a), 2))
         assert v == pytest.approx(expected, rel=1e-7)
 
@@ -252,7 +252,7 @@ def test_criterion_08_competition_intensity_exceeds_mutual_deletion():
         f = (make_interaction("marksum_hardcore") if rng.random() < 0.5
              else make_interaction("fc", c=rng.uniform(5.0, 40.0)))
         dim = int(rng.integers(1, 4))
-        m1 = analytic.intensity_marked(
+        m1 = analytic.intensity(
             ModelSpec("mat1-marked", lam, p0, f, dim, mu=mu))
         m2 = analytic.intensity_mat2(
             ModelSpec("mat2", lam, p0, f, dim, mu=mu,

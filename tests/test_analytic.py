@@ -14,8 +14,7 @@ from matern_thinning.analytic import (DivergentModelError, ModelKernel,
                                       ball_intersection, competition_integral,
                                       intensity, intensity_mat2,
                                       intensity_profile, intensity_report,
-                                      k_function, l_function, pcf, pcf_mat1,
-                                      pcf_mat2, pcf_marked,
+                                      k_function, l_function, pcf,
                                       radial_self_convolution,
                                       retained_mark_density, space_integral,
                                       tail_integral)
@@ -79,6 +78,17 @@ class TestRadialSelfConvolution:
             assert radial_self_convolution(sl, sl, 2, r) == pytest.approx(
                 val, rel=1e-8)
 
+    # example2 with a = 8 peaks sharply over the sphere; frozen from a
+    # nested adaptive quadrature (scipy quad, epsrel 1e-12) in (s, phi)
+    PEAKED_ORACLE = {(2, 2.7734): 0.12544854547004622,
+                     (3, 2.7734): 0.5620211279258424}
+
+    def test_peaked_smooth_against_frozen_nested_quadrature(self):
+        sl = make_interaction("example2", a=8.0).slice()
+        for (d, r), val in self.PEAKED_ORACLE.items():
+            assert radial_self_convolution(sl, sl, d, r) == pytest.approx(
+                val, rel=1e-7)
+
     # mixed smooth x indicator, frozen from an independent polar quadrature
     MIXED_ORACLE = {0.0: 1.84343926643655, 0.5: 1.44555390097396,
                     1.3: 0.419268615206808}
@@ -91,6 +101,26 @@ class TestRadialSelfConvolution:
                 val, rel=1e-8)
             assert radial_self_convolution(s2, s1, 2, r) == pytest.approx(
                 val, rel=1e-8)
+
+    def test_finite_near_zero_and_tangency(self):
+        # r -> 0 and r within 1e-9 of a sum of breakpoints: each value is
+        # finite and within 1e-8 relative of the value at the limit r0,
+        # plus a relative slope of at most 10 per unit r (the softshell
+        # value falls by 4e-8 relative from r = 0 to r = 1e-7)
+        soft = make_interaction("softshell", R=0.3, a=2.0, b=0.05).slice()
+        ex2 = make_interaction("example2", a=1.0).slice()
+        ex1 = make_interaction("example1", a=0.6, R=1.0).slice()
+        hc = make_interaction("hardcore", R=0.25).slice()
+        cases = ((soft, soft, 0.0, (1e-11, 1e-9, 1e-7)),
+                 (soft, soft, 0.6, (0.6 - 1e-9, 0.6 + 1e-9)),
+                 (ex2, ex2, 0.0, (1e-11,)),
+                 (ex1, hc, 0.85, (0.85 - 1e-9, 0.85 + 1e-9)))
+        for s1, s2, r0, radii in cases:
+            limit = radial_self_convolution(s1, s2, 2, r0)
+            for r in radii:
+                val = radial_self_convolution(s1, s2, 2, r)
+                assert math.isfinite(val)
+                assert val == pytest.approx(limit, rel=1e-8 + 10.0 * abs(r - r0))
 
     def test_vanishes_beyond_joint_support(self):
         hc = make_interaction("hardcore", R=1.0).slice()
@@ -141,24 +171,23 @@ class TestBallIntersection:
             yield from ((a, b, r) for r in rs if r >= 0.0)
 
     @staticmethod
-    def tolerance(a, b, d, rel):
+    def tolerance(a, b, d, rel, vol=1e-14):
         # near outer tangency the volume is a small difference: its
         # absolute error is a rounding error of the ball volume
-        return dict(rel=rel, abs=1e-14 * ball_volume(d) * max(a, b) ** d)
+        return dict(rel=rel, abs=vol * ball_volume(d) * max(a, b) ** d)
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equals_quadrature(self, d):
-        # at 0 < r < 1e-6 the quadrature itself is off (2.4e-8 relative at
-        # r = 1e-9 in d = 3); test_equals_mpmath covers that tangency
-        for tangent in (False, True):
-            for a, b, r in self.cases(tangent):
-                if 0.0 < r < 1e-6:
-                    continue
+        rel = 1e-13 if d == 2 else 1e-14
+        small = [(a, b, r) for a, b in self.RADII for r in (1e-11, 1e-7, 1e-5)]
+        for tangent, cases in ((False, [*self.cases(False), *small]),
+                               (True, self.cases(True))):
+            for a, b, r in cases:
                 s1 = make_interaction("hardcore", R=a).slice()
                 s2 = make_interaction("hardcore", R=b).slice()
                 quad = radial_self_convolution(s1, s2, d, r)
-                tol = (self.tolerance(a, b, d, 1e-14) if tangent
-                       else dict(rel=1e-14, abs=0.0))
+                tol = (self.tolerance(a, b, d, rel, rel) if tangent
+                       else dict(rel=rel, abs=0.0))
                 assert ball_intersection(a, b, r, d) == pytest.approx(quad, **tol)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -183,7 +212,7 @@ class TestBallIntersection:
         s2 = make_interaction("strauss", f0=0.6, R=0.8)
         r = np.array([0.0, 0.2, 0.9, 1.2])
         for d in (1, 2, 3):
-            rel = 1e-8 if d == 2 else 1e-14     # the d = 2 quadrature error
+            rel = 1e-13 if d == 2 else 1e-14
             for ri in r:
                 assert radial_self_convolution(s1, s2, d, ri) == pytest.approx(
                     0.18 * ball_intersection(0.5, 0.8, ri, d), rel=rel)
@@ -219,10 +248,14 @@ class TestIndicatorRouting:
         with monkeypatch.context() as patch:
             self.no_quadrature(patch)
             closed = evaluate()
+        calls = []
         with monkeypatch.context() as patch:
             self.forced_quadrature(patch)
+            scalar = analytic.radial_self_convolution
+            patch.setattr(analytic, "radial_self_convolution",
+                          lambda *args: calls.append(args) or scalar(*args))
             quad = evaluate()
-        assert not np.array_equal(closed, quad)     # two independent paths
+        assert len(calls) > 0       # the second path ran the scalar quadrature
         return closed, quad
 
     def test_hardcore_L(self, monkeypatch):
@@ -365,18 +398,18 @@ class TestCompetitionIntegral:
 class TestPairCorrelation:
     def test_hardcore_structure(self):
         spec = ModelSpec("mat1", 0.3, 1.0, make_interaction("hardcore", R=1.0), 2)
-        inside = pcf_mat1(spec, np.linspace(0.0, 0.999, 20))
+        inside = pcf(spec, np.linspace(0.0, 0.999, 20))
         assert np.all(inside == 0.0)
-        outside = pcf_mat1(spec, np.linspace(2.0, 5.0, 20))
+        outside = pcf(spec, np.linspace(2.0, 5.0, 20))
         assert np.max(np.abs(outside - 1.0)) < 1e-12
-        between = pcf_mat1(spec, 1.5)
+        between = pcf(spec, 1.5)
         assert between == pytest.approx(
             math.exp(0.3 * lens_area(1.0, 1.5)), rel=1e-10)
 
     def test_tail_approaches_one(self):
         x2 = ModelSpec("mat1", 0.25, 1.0, make_interaction("example2", a=2.0), 2)
         r_far = 5.0 * x2.f.cutoff()
-        assert abs(pcf_mat1(x2, r_far) - 1.0) < 1e-6
+        assert abs(pcf(x2, r_far) - 1.0) < 1e-6
 
     def test_marked_collapses_to_unmarked(self):
         # point-mass marks R' under the mark-sum rule = hard core of 2R'
@@ -385,7 +418,7 @@ class TestPairCorrelation:
                            make_interaction("marksum_hardcore"), 2, mu=mu)
         plain = ModelSpec("mat1", 0.5, 1.0, make_interaction("hardcore", R=0.8), 2)
         r = np.linspace(0.1, 2.5, 15)
-        assert np.allclose(pcf_marked(marked, r), pcf_mat1(plain, r),
+        assert np.allclose(pcf(marked, r), pcf(plain, r),
                            rtol=1e-10, atol=1e-12)
         assert intensity(marked) == pytest.approx(intensity(plain), rel=1e-12)
 
@@ -404,8 +437,8 @@ class TestPairCorrelation:
         spec = ModelSpec("mat2", 0.5, 1.0, make_interaction("marksum_hardcore"),
                          2, mu=mu, nu=WeightDistribution.uniform())
         r = np.array([0.5])
-        closed = pcf_mat2(spec, r, method="closed")
-        direct = pcf_mat2(spec, r, method="direct")
+        closed = pcf(spec, r, method="closed")
+        direct = pcf(spec, r, method="direct")
         assert np.allclose(direct, closed, rtol=1e-6)
 
     def test_mat2_mark_indexed_weights_against_nested_quadrature(self):
@@ -455,7 +488,7 @@ class TestPairCorrelation:
                     g += (mu[i] * mu[j] * (1.0 - f(r, marks[i], marks[j]))
                           * pair)
             g /= sum(m * p for m, p in zip(mu, retention)) ** 2
-            assert pcf_mat2(spec, r, method="direct") == pytest.approx(
+            assert pcf(spec, r, method="direct") == pytest.approx(
                 g, rel=1e-10)
 
     def test_mat2_weight_quadrature_converges(self):
@@ -463,15 +496,15 @@ class TestPairCorrelation:
         coarse, fine = two_atom_spec(16), two_atom_spec(64)
         assert intensity_mat2(coarse, "direct") == pytest.approx(
             intensity_mat2(fine, "direct"), rel=1e-12)
-        assert np.allclose(pcf_mat2(coarse, r, "direct"),
-                           pcf_mat2(fine, r, "direct"), rtol=1e-12, atol=0.0)
+        assert np.allclose(pcf(coarse, r, "direct"),
+                           pcf(fine, r, "direct"), rtol=1e-12, atol=0.0)
 
     def test_mat2_requires_positive_r(self):
         mu = MarkDistribution.point_mass(0.2)
         spec = ModelSpec("mat2", 0.5, 1.0, make_interaction("marksum_hardcore"),
                          2, mu=mu, nu=WeightDistribution.uniform())
         with pytest.raises(ValueError):
-            pcf_mat2(spec, 0.0)
+            pcf(spec, 0.0)
 
 
 class TestDerivedCurves:

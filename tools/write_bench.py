@@ -9,7 +9,9 @@ For every workload in ``BENCHMARK.json`` it runs, unmodified,
 once in the checkout DIR (the parent commit, say a ``git clone`` of it) and
 once in this checkout, for ten pairs with seeds N to N + 9, alternating
 which side runs first; ten pairs are the fewest that can show a gain.
-Pick seeds no development run used.  The file holds the seeds, every
+Pick seeds no development run used.  A run whose outputs fail the
+benchmark's checks stops the script with a non-zero exit status, naming
+the checkout, the workload and the seed.  The file holds the seeds, every
 run's metrics, each side's median and quartiles per metric, how many
 pairs the change won, the Python, NumPy and SciPy versions, the CPU count
 and each checkout's git SHA.
@@ -47,6 +49,9 @@ def run_once(checkout, command, workload, seed, seconds):
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(args)} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        sys.exit(f"{checkout}: workload {workload}, seed {seed}: the outputs "
+                 f"failed the benchmark's checks:\n{proc.stderr}")
     return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
